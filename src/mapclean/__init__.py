@@ -15,14 +15,11 @@ from .ground import (GroundModel, GroundSegConfig, RangeImage,
 from .io import (PointCloud, Pose, poses_to_velodyne_frame, read_calibration,
                  read_labels, read_map, read_poses, read_scan,
                  transform_to_world, write_labels, write_map, write_poses)
-from .removal import (FrameReport, OnlinePipeline, RemovalConfig,
-                      downward_retrieval, process_frame, static_restoration,
-                      upward_retrieval)
+from .removal import FrameReport, OnlinePipeline, RemovalConfig, process_frame
 from .simulate import (Box, DynamicObject, GroundPlane, LabeledFrame,
                        Scenario, SensorModel, export_kitti, ground_cfg_for,
                        load_scenario, oracle_classify, render_sequence)
-from .voxmap import (MapState, Submap, VoxelData, export_dynamic_map,
-                     export_static_map, ground_voxel_below, move_voxel,
-                     nonground_voxels_above, voxel_key, voxel_keys)
+from .voxmap import (MapState, Submap, export_dynamic_map,
+                     export_static_map, voxel_keys)
 
 __version__ = "0.1.0"

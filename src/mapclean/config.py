@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
-import yaml
-
 from .errors import ContractError
 from .evaluation import EVAL_VOXEL_SIZE, MOVING_CLASSES
 from .ground import GroundSegConfig
@@ -89,6 +87,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
+    import yaml  # only here and in save_config: keeps it off `import mapclean`
+
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if data is None:
@@ -99,5 +99,7 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(cfg.to_dict(), fh, sort_keys=False)

@@ -3,16 +3,18 @@
 A non-ground voxel first observed much later than the ground voxel beneath
 it appeared suddenly; one last observed much earlier than the ground beneath
 it disappeared suddenly. Downward retrieval catches the first kind by
-walking from each non-ground voxel of the current scan down its z-column to
-the first ground voxel; upward retrieval catches the second by walking up
+looking from each non-ground voxel of the current scan down its z-column to
+the first ground voxel; upward retrieval catches the second by looking up
 from each ground voxel of the current scan over all non-ground voxels in
 range. Misclassified voxels whose total observation count stays close to
 their ground voxel's count are restored.
+
+Each rule is a handful of array operations over the voxel ids the current
+scan touched (see voxmap for the tables they read).
 """
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field
 
@@ -21,8 +23,8 @@ import numpy as np
 from .errors import ContractError
 from .ground import GroundSegConfig, segment_ground_mask, warmup_kernels
 from .io import PointCloud, Pose
-from .voxmap import (MapState, cells_in_range, pack_keys, unpack_key,
-                     voxel_keys)
+from .voxmap import (DYNAMIC, GROUND, NONGROUND, MapState, cells_in_range,
+                     pack_keys, unpack_keys, voxel_keys)
 
 
 @dataclass
@@ -36,9 +38,16 @@ class RemovalConfig:
             raise ContractError("tau_ret, tau_res >= 1 and vertical_range > 0 required")
 
 
+def _no_keys():
+    return np.zeros(0, np.int64)
+
+
 @dataclass
 class FrameReport:
-    """Per-frame counters and phase timings (milliseconds)."""
+    """Per-frame counters and phase timings (milliseconds).
+
+    The key arrays hold packed voxel keys (see voxmap.unpack_keys).
+    """
 
     frame: int
     appeared_dynamic: int = 0
@@ -48,9 +57,9 @@ class FrameReport:
     map_ms: float = 0.0
     removal_ms: float = 0.0
     total_ms: float = 0.0
-    appeared_keys: list = field(default_factory=list)
-    disappeared_keys: list = field(default_factory=list)
-    restored_keys: list = field(default_factory=list)
+    appeared_keys: np.ndarray = field(default_factory=_no_keys)
+    disappeared_keys: np.ndarray = field(default_factory=_no_keys)
+    restored_keys: np.ndarray = field(default_factory=_no_keys)
 
     def log_line(self) -> str:
         return (f"frame={self.frame} appeared={self.appeared_dynamic} "
@@ -59,134 +68,40 @@ class FrameReport:
                 f"removal_ms={self.removal_ms:.2f} total_ms={self.total_ms:.2f}")
 
 
-def _unique_packed(xyz: np.ndarray, voxel_size: float) -> list:
-    if len(xyz) == 0:
-        return []
-    return np.unique(pack_keys(voxel_keys(xyz, voxel_size))).tolist()
+def _with_ground_below(state: MapState, ids: np.ndarray, steps: int):
+    """Object-table ids that have a ground voxel within steps below, and its id."""
+    below = state.ground_table.below(state.object_table.key[ids], steps)
+    found = below >= 0
+    return ids[found], below[found]
 
 
-def _downward(state: MapState, touched: list, steps: int, tau_ret: int) -> list:
-    """Appear rule over distinct packed non-ground keys; returns marked keys."""
-    nonground = state.nonground
-    ground = state.ground
-    dynamic_cells = state.dynamic.cells
-    marked = []
-    for pk in touched:
-        if pk in dynamic_cells:
-            continue
-        vd = nonground.cells.get(pk)
-        if vd is None:
-            continue
-        gpk = ground._first_below(pk, steps)
-        if gpk is None:
-            continue
-        if vd.min_frame - ground.cells[gpk].min_frame > tau_ret:
-            marked.append(pk)
-    for pk in marked:
-        state.dynamic._put_packed(pk, nonground._pop_packed(pk))
+def _downward(state: MapState, ids: np.ndarray, steps: int, tau_ret: int) -> np.ndarray:
+    """Appear rule over non-ground voxel ids; marks them dynamic, returns the marked."""
+    obj = state.object_table
+    ids, ground = _with_ground_below(state, ids, steps)
+    marked = ids[obj.first[ids] - state.ground_table.first[ground] > tau_ret]
+    obj.cls[marked] = DYNAMIC
     return marked
 
 
-def _upward(state: MapState, touched_ground: list, steps: int, tau_ret: int) -> list:
-    """Disappear rule over distinct packed ground keys; returns marked keys."""
-    nonground = state.nonground
-    ground_cells = state.ground.cells
-    marked = []
-    seen = set()
-    for gpk in touched_ground:
-        gvd = ground_cells.get(gpk)
-        if gvd is None:
-            continue
-        above = nonground._all_above(gpk, steps)
-        if not above:
-            continue
-        gmax = gvd.max_frame
-        for pk in above:
-            if pk in seen:
-                continue
-            if gmax - nonground.cells[pk].max_frame > tau_ret:
-                seen.add(pk)
-                marked.append(pk)
-    for pk in marked:
-        state.dynamic._put_packed(pk, nonground._pop_packed(pk))
+def _upward(state: MapState, ground_ids: np.ndarray, steps: int, tau_ret: int) -> np.ndarray:
+    """Disappear rule over ground voxel ids; marks stale non-ground voxels above them."""
+    obj, gnd = state.object_table, state.ground_table
+    ids, owner = obj.above(gnd.key[ground_ids], steps)
+    stale = ((obj.cls[ids] == NONGROUND)
+             & (gnd.last[ground_ids][owner] - obj.last[ids] > tau_ret))
+    marked = np.unique(ids[stale])
+    obj.cls[marked] = DYNAMIC
     return marked
 
 
-def _restore(state: MapState, touched_dynamic: list, steps: int, tau_res: int) -> list:
-    """Count-similarity restoration over packed dynamic keys hit this frame."""
-    ground = state.ground
-    dynamic = state.dynamic
-    restored = []
-    for pk in touched_dynamic:
-        vd = dynamic.cells.get(pk)
-        if vd is None:
-            continue
-        gpk = ground._first_below(pk, steps)
-        if gpk is None:
-            continue
-        if abs(len(ground.cells[gpk].frame_set) - len(vd.frame_set)) < tau_res:
-            restored.append(pk)
-    for pk in restored:
-        state.nonground._put_packed(pk, dynamic._pop_packed(pk))
+def _restore(state: MapState, ids: np.ndarray, steps: int, tau_res: int) -> np.ndarray:
+    """Count-similarity restoration over dynamic voxel ids hit this frame."""
+    obj = state.object_table
+    ids, ground = _with_ground_below(state, ids, steps)
+    restored = ids[np.abs(state.ground_table.count[ground] - obj.count[ids]) < tau_res]
+    obj.cls[restored] = NONGROUND
     return restored
-
-
-def downward_retrieval(u_world: PointCloud, state: MapState,
-                       cfg: RemovalConfig) -> list:
-    """Mark suddenly-appeared voxels among those touched by the current scan.
-
-    For each distinct non-ground voxel of u_world: find the first ground
-    voxel below within vertical_range; if the non-ground voxel was first
-    observed more than tau_ret frames after that ground voxel, move it to
-    the dynamic submap. Voxels with no ground below are left untouched, and
-    voxels already absorbed into the dynamic submap are the restoration
-    pass's business, not this one's.
-    """
-    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
-    touched = _unique_packed(u_world.xyz, state.voxel_size)
-    return [unpack_key(pk) for pk in _downward(state, touched, steps, cfg.tau_ret)]
-
-
-def upward_retrieval(g_world: PointCloud, state: MapState,
-                     cfg: RemovalConfig) -> list:
-    """Mark suddenly-disappeared voxels above ground touched by the current scan.
-
-    For each distinct ground voxel of g_world, every non-ground voxel within
-    vertical_range above whose last observation lags the ground voxel's last
-    observation by more than tau_ret frames is moved to the dynamic submap.
-    """
-    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
-    touched = _unique_packed(g_world.xyz, state.voxel_size)
-    return [unpack_key(pk) for pk in _upward(state, touched, steps, cfg.tau_ret)]
-
-
-def static_restoration(state: MapState, touched_dynamic: list,
-                       cfg: RemovalConfig) -> list:
-    """Return misclassified dynamic voxels to the non-ground submap.
-
-    Only dynamic voxels hit by current-scan points (collected while
-    inserting) are tested: if the voxel's observation count is within
-    tau_res of the ground voxel below it, it was static all along.
-    """
-    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
-    touched = [pack_keys(np.asarray(k).reshape(1, 3))[0].item()
-               for k in touched_dynamic]
-    return [unpack_key(pk) for pk in _restore(state, touched, steps, cfg.tau_res)]
-
-
-def _grouped_blocks(xyz: np.ndarray, voxel_size: float):
-    """Sort points by packed voxel key; returns (packed keys, float32 blocks)."""
-    packed = pack_keys(voxel_keys(xyz, voxel_size))
-    order = np.argsort(packed, kind="stable")
-    sorted_packed = packed[order]
-    new = np.empty(len(sorted_packed), dtype=bool)
-    new[0] = True
-    np.not_equal(sorted_packed[1:], sorted_packed[:-1], out=new[1:])
-    starts = np.nonzero(new)[0]
-    uniq = sorted_packed[starts]
-    sorted_xyz = xyz.astype(np.float32)[order]
-    bounds = np.append(starts[1:], len(sorted_xyz))
-    return uniq.tolist(), [sorted_xyz[lo:hi] for lo, hi in zip(starts, bounds)]
 
 
 def process_frame(scan: PointCloud, pose: Pose, f: int, state: MapState,
@@ -202,52 +117,43 @@ def process_frame(scan: PointCloud, pose: Pose, f: int, state: MapState,
     upward retrieval -> static restoration.
 
     ground_mask, when given, replaces the segmentation step (e.g. simulator
-    labels or an external segmenter).
+    labels or an external segmenter); it must be a bool array with one
+    entry per point. The whole frame is checked and keyed before the map
+    changes, so bad input raises ContractError and leaves the state as it
+    was.
     """
     removal_cfg = removal_cfg or RemovalConfig()
+    if not -2**31 <= f < 2**31:
+        raise ContractError(f"frame index {f} does not fit the int32 frame columns")
     if state.last_frame is not None and f <= state.last_frame:
         raise ContractError(
             f"frame {f} not after previously processed frame {state.last_frame}")
+    if ground_mask is not None:
+        ground_mask = np.asarray(ground_mask)
+        if ground_mask.dtype != bool:
+            raise ContractError(f"ground_mask must be bool, not {ground_mask.dtype}")
+        if ground_mask.shape != (len(scan),):
+            raise ContractError("ground_mask length does not match scan")
+    if not np.isfinite(scan.xyz).all():
+        raise ContractError("scan holds a non-finite point")
     steps = cells_in_range(removal_cfg.vertical_range, state.voxel_size)
 
     t0 = time.perf_counter()
     if ground_mask is None:
         ground_mask = segment_ground_mask(scan, ground_cfg or GroundSegConfig())
-    elif len(ground_mask) != len(scan):
-        raise ContractError("ground_mask length does not match scan")
     t1 = time.perf_counter()
 
     world_xyz = scan.xyz @ pose.rotation.T + pose.translation
-    g_xyz = world_xyz[ground_mask]
-    u_xyz = world_xyz[~ground_mask]
-
-    g_touched = []
-    if len(g_xyz):
-        keys, blocks = _grouped_blocks(g_xyz, state.voxel_size)
-        state.ground.insert_grouped(keys, blocks, f)
-        g_touched = keys
-
-    u_touched = []
-    touched_dynamic = []
-    if len(u_xyz):
-        keys, blocks = _grouped_blocks(u_xyz, state.voxel_size)
-        dyn_cells = state.dynamic.cells
-        to_dyn_keys, to_dyn_blocks, to_non_keys, to_non_blocks = [], [], [], []
-        for pk, block in zip(keys, blocks):
-            if pk in dyn_cells:
-                to_dyn_keys.append(pk)
-                to_dyn_blocks.append(block)
-            else:
-                to_non_keys.append(pk)
-                to_non_blocks.append(block)
-        touched_dynamic = to_dyn_keys
-        state.dynamic.insert_grouped(to_dyn_keys, to_dyn_blocks, f)
-        state.nonground.insert_grouped(to_non_keys, to_non_blocks, f)
-        u_touched = keys
+    keys = pack_keys(voxel_keys(world_xyz, state.voxel_size))
+    ground_ids = state.ground_table.insert(keys[ground_mask], world_xyz[ground_mask],
+                                           f, GROUND)
+    obj = state.object_table
+    ids = obj.insert(keys[~ground_mask], world_xyz[~ground_mask], f, NONGROUND)
     t2 = time.perf_counter()
 
-    appeared = _downward(state, u_touched, steps, removal_cfg.tau_ret)
-    disappeared = _upward(state, g_touched, steps, removal_cfg.tau_ret)
+    touched_dynamic = ids[obj.cls[ids] == DYNAMIC]
+    appeared = _downward(state, ids[obj.cls[ids] == NONGROUND], steps, removal_cfg.tau_ret)
+    disappeared = _upward(state, ground_ids, steps, removal_cfg.tau_ret)
     restored = _restore(state, touched_dynamic, steps, removal_cfg.tau_res)
     t3 = time.perf_counter()
 
@@ -261,9 +167,9 @@ def process_frame(scan: PointCloud, pose: Pose, f: int, state: MapState,
         map_ms=(t2 - t1) * 1e3,
         removal_ms=(t3 - t2) * 1e3,
         total_ms=(t3 - t0) * 1e3,
-        appeared_keys=[unpack_key(pk) for pk in appeared],
-        disappeared_keys=[unpack_key(pk) for pk in disappeared],
-        restored_keys=[unpack_key(pk) for pk in restored],
+        appeared_keys=obj.key[appeared],
+        disappeared_keys=obj.key[disappeared],
+        restored_keys=obj.key[restored],
     )
 
 
@@ -276,34 +182,28 @@ class OnlinePipeline:
 
     def __init__(self, voxel_size: float = 0.2,
                  removal_cfg: RemovalConfig = None,
-                 ground_cfg: GroundSegConfig = None,
-                 gc_freeze_interval: int = 8):
+                 ground_cfg: GroundSegConfig = None):
         self.state = MapState(voxel_size=voxel_size)
         self.removal_cfg = removal_cfg or RemovalConfig()
         self.ground_cfg = ground_cfg or GroundSegConfig()
         self.reports = []
-        self.restored_ever = set()
-        # the map holds millions of small acyclic objects; freezing them out
-        # of the cyclic collector's scans keeps per-frame latency flat
-        self.gc_freeze_interval = gc_freeze_interval
+        self.restored_ever = set()   # packed keys
         warmup_kernels()  # JIT cost must not land in the first frame's timing
 
     def process(self, scan: PointCloud, pose: Pose, f: int,
                 ground_mask: np.ndarray = None) -> FrameReport:
         report = process_frame(scan, pose, f, self.state,
                                self.removal_cfg, self.ground_cfg, ground_mask)
-        self.restored_ever.update(report.restored_keys)
+        self.restored_ever.update(report.restored_keys.tolist())
         self.reports.append(report)
-        if self.gc_freeze_interval and len(self.reports) % self.gc_freeze_interval == 0:
-            gc.collect()
-            gc.freeze()
         return report
 
     def classification(self) -> dict:
         """Final per-voxel label over non-ground and dynamic keys."""
+        obj = self.state.object_table
         out = {}
-        for key in self.state.nonground.keys():
-            out[key] = "restored" if key in self.restored_ever else "static"
-        for key in self.state.dynamic.keys():
-            out[key] = "dynamic"
+        for key, pk, cls in zip(unpack_keys(obj.key).tolist(), obj.key.tolist(),
+                                obj.cls.tolist()):
+            out[tuple(key)] = ("dynamic" if cls == DYNAMIC else
+                               "restored" if pk in self.restored_ever else "static")
         return out

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import io as mio
 from .errors import ContractError
@@ -316,6 +315,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    import yaml  # off the `import mapclean` path
+
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if not isinstance(data, dict):

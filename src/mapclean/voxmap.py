@@ -1,28 +1,41 @@
-"""Sparse voxel submaps with per-voxel frame-index sets.
+"""Sparse voxel map: two columnar tables keyed by packed int64 keys.
 
-The map state holds three co-registered stores over the same integer grid:
-ground, non-ground and dynamic. Every voxel keeps all its points plus the
-set of scan indices that observed it; min/max/cardinality of that set are
-cached so retrieval queries stay O(1) per voxel.
+Grid cells are (i, j, k) integer triples, floor(coordinate / voxel_size).
+Each key packs into one int64 with 21 bits per axis, i highest and k
+lowest, so packed keys sort by column (i, j) first and by height k within
+a column: the occupied cells of one vertical column are neighbours in
+sort order.
 
-Keys are (i, j, k) integer triples at the API surface. Internally each key
-is packed into one int64 (21 bits per axis) and every submap maintains a
-per-column sorted list of occupied k levels, so vertical-column searches
-cost a dict hit plus a bisect instead of probing every cell in range.
+The map keeps two tables over the same grid:
 
-All mutation happens on the caller's thread (single-writer contract);
-read-only queries may run concurrently between mutation batches.
+* the ground table, one row per ground voxel;
+* the object table, one row per non-ground or dynamic voxel, whose class
+  byte tells the two apart. Moving a voxel between the non-ground and the
+  dynamic submap flips that byte.
+
+A ground voxel and a non-ground voxel may share a key, hence two tables.
+Rows are numbered by a voxel id in creation order and never move. A row
+holds the packed key and int32 first frame, last frame and observation
+count. Frames arrive in strictly increasing order and a key is never both
+non-ground and dynamic, so these are exactly the min, max and size of the
+set of frames that observed the voxel. A sorted copy of the keys, with the
+id of each, answers lookups and column queries by `searchsorted`; a frame's
+new keys are merged into it once.
+
+Points go into an append-only float32 buffer per table with the voxel id
+of each point beside it, so exporting a submap is one boolean mask.
+
+All mutation happens on the caller's thread (single-writer contract).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ContractError
 from .io import PointCloud
 
 # grid indices live in [-2^20, 2^20): 21 bits per axis packed into an int64
@@ -30,10 +43,7 @@ _OFF = 1 << 20
 _SPAN = 1 << 21
 _M21 = _SPAN - 1
 
-
-def voxel_key(p, voxel_size: float):
-    """Integer grid cell of a single point: floor(coordinate / size) per axis."""
-    return tuple(int(v) for v in np.floor(np.asarray(p, dtype=np.float64) / voxel_size))
+GROUND, NONGROUND, DYNAMIC = 0, 1, 2   # class byte of a voxel
 
 
 def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
@@ -56,8 +66,15 @@ def pack_keys(keys: np.ndarray) -> np.ndarray:
     """Fold (N, 3) integer keys into single int64s for fast grouping."""
     k = keys + _OFF
     if k.size and (k.min() < 0 or k.max() >= _SPAN):
-        raise OverflowError("voxel index outside packable range (+/- 2^20 cells)")
+        raise ContractError("voxel index outside packable range (+/- 2^20 cells)")
     return (k[:, 0] << 42) | (k[:, 1] << 21) | k[:, 2]
+
+
+def unpack_keys(packed: np.ndarray) -> np.ndarray:
+    """(N, 3) int64 keys of packed keys; the inverse of pack_keys."""
+    p = np.asarray(packed, dtype=np.int64)
+    return np.stack([(p >> 42) - _OFF, ((p >> 21) & _M21) - _OFF,
+                     (p & _M21) - _OFF], axis=1)
 
 
 def cells_in_range(vertical_range: float, voxel_size: float) -> int:
@@ -68,230 +85,148 @@ def cells_in_range(vertical_range: float, voxel_size: float) -> int:
     return int(math.floor(vertical_range / voxel_size + 1e-9))
 
 
-class VoxelData:
-    """Points plus the set of frame indices that observed the cell."""
-
-    __slots__ = ("blocks", "n_points", "frame_set", "min_frame", "max_frame")
+class VoxelTable:
+    """Voxel rows in id order, a sorted key index and the points."""
 
     def __init__(self):
-        self.blocks = []        # list of (m, 3) float32 arrays
-        self.n_points = 0
-        self.frame_set = set()
-        self.min_frame = None
-        self.max_frame = None
+        self.key = np.zeros(0, np.int64)     # packed key of each voxel id
+        self.first = np.zeros(0, np.int32)   # first frame that observed it
+        self.last = np.zeros(0, np.int32)    # last frame that observed it
+        self.count = np.zeros(0, np.int32)   # number of frames that observed it
+        self.cls = np.zeros(0, np.uint8)     # GROUND, NONGROUND or DYNAMIC
+        self._sorted = np.zeros(0, np.int64)  # the keys in ascending order
+        self._ids = np.zeros(0, np.int64)     # voxel id of each sorted key
+        self._xyz = [np.zeros((0, 3), np.float32)]  # point chunks, merged on read
+        self._vid = [np.zeros(0, np.int32)]         # voxel id of each point
 
-    @property
-    def count(self):
-        """Cached cardinality of the frame set (total observation count)."""
-        return len(self.frame_set)
+    def __len__(self):
+        return len(self.key)
 
-    def add_frame(self, f: int):
-        if f not in self.frame_set:
-            self.frame_set.add(f)
-            if self.min_frame is None or f < self.min_frame:
-                self.min_frame = f
-            if self.max_frame is None or f > self.max_frame:
-                self.max_frame = f
+    def _match(self, keys: np.ndarray):
+        """Sorted position of each key and its voxel id there, -1 if absent."""
+        pos = np.searchsorted(self._sorted, keys)
+        if not len(self._sorted):
+            return pos, np.full(len(keys), -1, np.int64)
+        at = np.minimum(pos, len(self._sorted) - 1)
+        return pos, np.where(self._sorted[at] == keys, self._ids[at], -1)
 
-    def add_block(self, pts: np.ndarray, f: int):
-        if len(pts):
-            self.blocks.append(np.asarray(pts, dtype=np.float32))
-            self.n_points += len(pts)
-        self.add_frame(f)
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Voxel id of each packed key, -1 where the table lacks it."""
+        return self._match(keys)[1]
 
-    def merge(self, other: "VoxelData"):
-        self.blocks.extend(other.blocks)
-        self.n_points += other.n_points
-        for f in other.frame_set:
-            self.add_frame(f)
+    def insert(self, keys: np.ndarray, xyz: np.ndarray, f: int, cls: int) -> np.ndarray:
+        """Add one frame's points with their packed keys.
 
-    def points(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros((0, 3), dtype=np.float32)
-        return np.concatenate(self.blocks, axis=0)
+        Returns the voxel ids of the distinct keys, in ascending key order.
+        f must be later than any frame a key was inserted with before, as
+        process_frame's increasing frames ensure; that keeps first/last/count
+        exact. New voxels get class cls; the others keep theirs.
+        """
+        uniq, inv = np.unique(keys, return_inverse=True)
+        pos, ids = self._match(uniq)
+        old = ids[ids >= 0]
+        self.last[old] = f
+        self.count[old] += 1
+        new = ids < 0
+        n_new = int(np.count_nonzero(new))
+        if n_new:
+            ids[new] = np.arange(len(self.key), len(self.key) + n_new)
+            self.key = np.concatenate([self.key, uniq[new]])
+            self.first = np.concatenate([self.first, np.full(n_new, f, np.int32)])
+            self.last = np.concatenate([self.last, np.full(n_new, f, np.int32)])
+            self.count = np.concatenate([self.count, np.ones(n_new, np.int32)])
+            self.cls = np.concatenate([self.cls, np.full(n_new, cls, np.uint8)])
+            self._sorted = np.insert(self._sorted, pos[new], uniq[new])
+            self._ids = np.insert(self._ids, pos[new], ids[new])
+        if len(keys):
+            self._xyz.append(np.asarray(xyz, dtype=np.float32))
+            self._vid.append(ids[inv].astype(np.int32))
+        return ids
+
+    def below(self, keys: np.ndarray, steps: int) -> np.ndarray:
+        """Voxel id of the nearest cell under each key within steps, else -1.
+
+        That cell is the key's predecessor in sort order when it lies in
+        the key's column: the same answer as probing k-1, ..., k-steps in
+        turn and stopping at the first occupied cell.
+        """
+        if not len(self._sorted):
+            return np.full(len(keys), -1, np.int64)
+        pos = np.searchsorted(self._sorted, keys) - 1
+        at = np.maximum(pos, 0)
+        under = self._sorted[at]
+        ok = (pos >= 0) & (keys - under <= steps) & (under >> 21 == keys >> 21)
+        return np.where(ok, self._ids[at], -1)
+
+    def above(self, keys: np.ndarray, steps: int):
+        """(ids, owner): every voxel in cells k+1 ... k+steps over each key.
+
+        owner[n] indexes the key that voxel ids[n] lies over; each key's
+        voxels come bottom-up.
+        """
+        top = np.minimum(keys + steps, keys | _M21)   # never past the column
+        lo = np.searchsorted(self._sorted, keys, side="right")
+        n = np.searchsorted(self._sorted, top, side="right") - lo
+        owner = np.repeat(np.arange(len(keys)), n)
+        pos = np.arange(len(owner)) + np.repeat(lo - np.cumsum(n) + n, n)
+        return self._ids[pos], owner
+
+    def points(self):
+        """(xyz, voxel id) of every point inserted, as two arrays."""
+        if len(self._xyz) > 1:
+            self._xyz = [np.concatenate(self._xyz)]
+            self._vid = [np.concatenate(self._vid)]
+        return self._xyz[0], self._vid[0]
 
 
 class Submap:
-    """One sparse key -> VoxelData store with a per-column k index."""
+    """The voxels of one class in a table: ground, non-ground or dynamic."""
 
-    def __init__(self, voxel_size: float):
-        self.voxel_size = voxel_size
-        self.cells = {}      # packed key -> VoxelData
-        self._columns = {}   # packed (i, j) column -> sorted list of k
+    def __init__(self, table: VoxelTable, cls: int):
+        self.table = table
+        self.cls = cls
 
-    def __contains__(self, key):
-        return pack_key(key) in self.cells
+    def ids(self) -> np.ndarray:
+        return np.flatnonzero(self.table.cls == self.cls)
 
     def __len__(self):
-        return len(self.cells)
+        return int(np.count_nonzero(self.table.cls == self.cls))
 
-    def get(self, key):
-        return self.cells.get(pack_key(key))
+    def __contains__(self, key):
+        vid = self.table.find(np.array([pack_key(key)]))[0]
+        return bool(vid >= 0 and self.table.cls[vid] == self.cls)
 
-    def keys(self):
-        return [unpack_key(p) for p in self.cells]
-
-    def insert(self, p, f: int):
-        """Insert a single point observed at frame f."""
-        pts = np.asarray(p, dtype=np.float64).reshape(1, 3)
-        self._insert_packed(pack_keys(voxel_keys(pts, self.voxel_size))[0].item(),
-                            pts, f)
-
-    def insert_block(self, key, pts: np.ndarray, f: int):
-        """Insert a block of points that all share one voxel key."""
-        self._insert_packed(pack_key(key), pts, f)
-
-    def insert_grouped(self, packed_keys, blocks, f: int):
-        """Insert pre-grouped float32 blocks, one per packed key."""
-        cells = self.cells
-        for pk, block in zip(packed_keys, blocks):
-            vd = cells.get(pk)
-            if vd is None:
-                self._insert_packed(pk, block, f)
-                continue
-            vd.blocks.append(block)
-            vd.n_points += block.shape[0]
-            fs = vd.frame_set
-            if f not in fs:
-                fs.add(f)
-                if f > vd.max_frame:
-                    vd.max_frame = f
-                elif f < vd.min_frame:
-                    vd.min_frame = f
+    def points(self) -> np.ndarray:
+        """(P, 3) float32 points of this submap's voxels."""
+        xyz, vid = self.table.points()
+        return xyz[self.table.cls[vid] == self.cls]
 
     def total_points(self) -> int:
-        return sum(vd.n_points for vd in self.cells.values())
-
-    # -- packed-key internals ------------------------------------------------
-
-    def _insert_packed(self, pk: int, pts, f: int):
-        vd = self.cells.get(pk)
-        if vd is None:
-            vd = VoxelData()
-            self.cells[pk] = vd
-            self._index_add(pk)
-        vd.add_block(pts, f)
-
-    def _index_add(self, pk: int):
-        col = self._columns.get(pk >> 21)
-        if col is None:
-            self._columns[pk >> 21] = [(pk & _M21) - _OFF]
-        else:
-            insort(col, (pk & _M21) - _OFF)
-
-    def _pop_packed(self, pk: int):
-        vd = self.cells.pop(pk, None)
-        if vd is not None:
-            col = self._columns[pk >> 21]
-            col.remove((pk & _M21) - _OFF)
-            if not col:
-                del self._columns[pk >> 21]
-        return vd
-
-    def _put_packed(self, pk: int, vd: VoxelData):
-        existing = self.cells.get(pk)
-        if existing is None:
-            self.cells[pk] = vd
-            self._index_add(pk)
-        else:
-            existing.merge(vd)
-
-    def _first_below(self, pk: int, steps: int):
-        """Packed key of the nearest occupied cell under pk within steps."""
-        col = self._columns.get(pk >> 21)
-        if not col:
-            return None
-        k = (pk & _M21) - _OFF
-        idx = bisect_left(col, k) - 1
-        if idx >= 0 and k - col[idx] <= steps:
-            return pk - (k - col[idx])
-        return None
-
-    def _all_above(self, pk: int, steps: int) -> list:
-        """Packed keys of occupied cells above pk within steps, bottom-up."""
-        col = self._columns.get(pk >> 21)
-        if not col:
-            return []
-        k = (pk & _M21) - _OFF
-        out = []
-        for idx in range(bisect_right(col, k), len(col)):
-            dk = col[idx] - k
-            if dk > steps:
-                break
-            out.append(pk + dk)
-        return out
+        _, vid = self.table.points()
+        return int(np.count_nonzero(self.table.cls[vid] == self.cls))
 
 
-@dataclass
 class MapState:
     """Ground, non-ground and dynamic submaps sharing one grid."""
 
-    voxel_size: float = 0.2
-    ground: Submap = None
-    nonground: Submap = None
-    dynamic: Submap = None
-    move_warnings: int = 0
-    last_frame: int = field(default=None)
-
-    def __post_init__(self):
-        if self.ground is None:
-            self.ground = Submap(self.voxel_size)
-        if self.nonground is None:
-            self.nonground = Submap(self.voxel_size)
-        if self.dynamic is None:
-            self.dynamic = Submap(self.voxel_size)
-
-
-def ground_voxel_below(state: MapState, key, max_range: float):
-    """First ground voxel found descending the z-column from key, or None.
-
-    Equivalent to probing (i, j, k-1) ... (i, j, k-floor(max_range/size)) and
-    stopping at the first occupied cell.
-    """
-    steps = cells_in_range(max_range, state.voxel_size)
-    pk = state.ground._first_below(pack_key(key), steps)
-    return None if pk is None else unpack_key(pk)
-
-
-def nonground_voxels_above(state: MapState, key, max_range: float) -> list:
-    """All non-ground voxels in the z-column above key within range, bottom-up."""
-    steps = cells_in_range(max_range, state.voxel_size)
-    return [unpack_key(pk)
-            for pk in state.nonground._all_above(pack_key(key), steps)]
-
-
-def move_voxel(src: Submap, dst: Submap, key) -> bool:
-    """Transfer a whole voxel between submaps, merging on key collision.
-
-    A missing source key is tolerated (no-op); callers track the warning
-    counter on MapState if they care.
-    """
-    pk = pack_key(key)
-    vd = src._pop_packed(pk)
-    if vd is None:
-        return False
-    dst._put_packed(pk, vd)
-    return True
+    def __init__(self, voxel_size: float = 0.2):
+        self.voxel_size = voxel_size
+        self.last_frame = None
+        self.ground_table = VoxelTable()
+        self.object_table = VoxelTable()   # non-ground and dynamic voxels
+        self.ground = Submap(self.ground_table, GROUND)
+        self.nonground = Submap(self.object_table, NONGROUND)
+        self.dynamic = Submap(self.object_table, DYNAMIC)
 
 
 def export_static_map(state: MapState) -> PointCloud:
     """All points in the ground and non-ground submaps; dynamic excluded."""
-    blocks = []
-    for submap in (state.ground, state.nonground):
-        for vd in submap.cells.values():
-            blocks.extend(vd.blocks)
-    if not blocks:
-        return PointCloud(np.zeros((0, 3)))
-    return PointCloud(np.concatenate(blocks, axis=0).astype(np.float64))
+    ground_xyz, _ = state.ground_table.points()
+    return PointCloud(np.concatenate([ground_xyz, state.nonground.points()]))
 
 
 def export_dynamic_map(state: MapState) -> PointCloud:
-    blocks = []
-    for vd in state.dynamic.cells.values():
-        blocks.extend(vd.blocks)
-    if not blocks:
-        return PointCloud(np.zeros((0, 3)))
-    return PointCloud(np.concatenate(blocks, axis=0).astype(np.float64))
+    return PointCloud(state.dynamic.points())
 
 
 def dump_csv(state: MapState, path) -> None:
@@ -302,6 +237,8 @@ def dump_csv(state: MapState, path) -> None:
         for name, submap in (("ground", state.ground),
                              ("nonground", state.nonground),
                              ("dynamic", state.dynamic)):
-            for pk, vd in submap.cells.items():
-                i, j, k = unpack_key(pk)
-                writer.writerow([name, i, j, k, vd.count, vd.min_frame, vd.max_frame])
+            t, ids = submap.table, submap.ids()
+            for (i, j, k), n, lo, hi in zip(unpack_keys(t.key[ids]).tolist(),
+                                            t.count[ids].tolist(), t.first[ids].tolist(),
+                                            t.last[ids].tolist()):
+                writer.writerow([name, i, j, k, n, lo, hi])

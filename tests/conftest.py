@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from mapclean.simulate import load_scenario, render_sequence
+
+# property tests draw the same fixed set of examples on every run
+settings.register_profile("tier1", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+settings.load_profile("tier1")
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

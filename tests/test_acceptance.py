@@ -21,8 +21,9 @@ from mapclean.simulate import (Box, DynamicObject, Scenario, SensorModel,
                                ground_cfg_for, ground_mask_from_labels,
                                oracle_classify, render_sequence,
                                semantic_from_labels)
-from mapclean.voxmap import (MapState, export_static_map, move_voxel,
-                             voxel_key)
+from mapclean.voxmap import (DYNAMIC, GROUND, NONGROUND, MapState,
+                             export_static_map, pack_keys, unpack_key,
+                             unpack_keys, voxel_keys)
 
 ORACLE_FIXTURES = ("static-street", "suddenly-appear", "suddenly-disappear",
                    "continuous-mover", "crowd", "pedestrian-crossing")
@@ -34,8 +35,7 @@ def report(criterion, passed, detail=""):
 
 
 def run_with_true_labels(frames, cfg=None, voxel=0.2):
-    pipe = OnlinePipeline(voxel_size=voxel, removal_cfg=cfg or RemovalConfig(),
-                          gc_freeze_interval=0)
+    pipe = OnlinePipeline(voxel_size=voxel, removal_cfg=cfg or RemovalConfig())
     for f, fr in enumerate(frames):
         pipe.process(fr.scan, fr.pose, f,
                      ground_mask=ground_mask_from_labels(fr.labels))
@@ -224,56 +224,71 @@ def test_criterion_7_metric_unit_suite():
 
 
 def test_criterion_8_data_structure_properties():
-    """1e5 random insert/move operations keep every map invariant intact."""
+    """1e5 random insert/move operations keep every map invariant intact.
+
+    The invariants are checked against an independent model: key -> set of
+    frames, point count and class, kept in plain dicts.
+    """
     rng = np.random.default_rng(11)
     state = MapState(voxel_size=0.5)
-    inserted = 0
+    tables = {"ground": state.ground_table, "object": state.object_table}
+    frames = {"ground": {}, "object": {}}
+    points = {"ground": {}, "object": {}}
+    classes = {}
     violations = 0
 
     def audit():
         nonlocal violations
         total = (state.ground.total_points() + state.nonground.total_points()
                  + state.dynamic.total_points())
-        if total != inserted:
+        if total != sum(sum(p.values()) for p in points.values()):
             violations += 1
-        if set(state.nonground.cells) & set(state.dynamic.cells):
-            violations += 1
-        for submap in (state.ground, state.nonground, state.dynamic):
-            for vd in submap.cells.values():
-                if (vd.min_frame != min(vd.frame_set)
-                        or vd.max_frame != max(vd.frame_set)
-                        or vd.count != len(vd.frame_set)
-                        or vd.n_points != sum(len(b) for b in vd.blocks)):
+        for name, t in tables.items():
+            if (len(t) != len(frames[name])
+                    or not np.array_equal(t._sorted, np.sort(t.key))
+                    or not np.array_equal(t.key[t._ids], t._sorted)):
+                violations += 1
+            per_voxel = np.bincount(t.points()[1], minlength=len(t)).tolist()
+            for key, first, last, count, cls, n in zip(
+                    map(tuple, unpack_keys(t.key).tolist()), t.first.tolist(),
+                    t.last.tolist(), t.count.tolist(), t.cls.tolist(), per_voxel):
+                fs = frames[name].get(key)
+                want_cls = classes.get(key) if name == "object" else GROUND
+                if (fs is None or (first, last, count) != (min(fs), max(fs), len(fs))
+                        or n != points[name][key] or cls != want_cls):
                     violations += 1
 
     n_ops = 100_000
+    f = 0
     for step in range(n_ops):
         op = rng.random()
         if op < 0.70:
-            p = rng.uniform(-4, 4, 3)
-            f = int(rng.integers(0, 200))
-            key = voxel_key(p, 0.5)
-            lane = rng.random()
-            if lane < 0.4:
-                state.ground.insert(p, f)
-            elif key in state.dynamic:
-                state.dynamic.insert(p, f)
-            else:
-                state.nonground.insert(p, f)
-            inserted += 1
-        elif op < 0.85 and len(state.nonground):
-            keys = state.nonground.keys()
-            move_voxel(state.nonground, state.dynamic,
-                       keys[int(rng.integers(0, len(keys)))])
-        elif op < 0.95 and len(state.dynamic):
-            keys = state.dynamic.keys()
-            move_voxel(state.dynamic, state.nonground,
-                       keys[int(rng.integers(0, len(keys)))])
+            f += 1
+            pts = rng.uniform(-4, 4, (int(rng.integers(1, 4)), 3))
+            name = "ground" if rng.random() < 0.4 else "object"
+            keys = voxel_keys(pts, 0.5)
+            tables[name].insert(pack_keys(keys), pts, f,
+                                GROUND if name == "ground" else NONGROUND)
+            for key in map(tuple, keys.tolist()):
+                frames[name].setdefault(key, set()).add(f)
+                points[name][key] = points[name].get(key, 0) + 1
+                if name == "object":
+                    classes.setdefault(key, NONGROUND)
+        elif op < 0.95:
+            # a move flips the class byte of a random non-ground or dynamic voxel
+            src, dst = ((state.nonground, DYNAMIC) if op < 0.85
+                        else (state.dynamic, NONGROUND))
+            ids = src.ids()
+            if len(ids):
+                vid = ids[int(rng.integers(0, len(ids)))]
+                state.object_table.cls[vid] = dst
+                classes[unpack_key(int(state.object_table.key[vid]))] = dst
         else:
             missing = (99, 99, int(rng.integers(50, 90)))
-            move_voxel(state.nonground, state.dynamic, missing)
+            if missing in state.nonground or missing in state.dynamic:
+                violations += 1
         if step % 10_000 == 0:
             audit()
     audit()
     report(8, violations == 0,
-           f"({n_ops} operations, {inserted} inserts, {violations} violations)")
+           f"({n_ops} operations, {f} inserts, {violations} violations)")

@@ -113,6 +113,21 @@ def test_run_dynamic_map_output(tmp_path, appear_seq):
     assert len(dyn) > 0
 
 
+def test_run_dump_voxels(tmp_path, appear_seq):
+    cfg = write_cfg(tmp_path, APPEAR_CFG)
+    out = tmp_path / "dump_out"
+    rc = main(["run", str(appear_seq / "velodyne"), str(appear_seq / "poses.txt"),
+               "--config", str(cfg), "--output", str(out), "--dump-voxels"])
+    assert rc == 0
+    header, *rows = [line.split(",") for line in
+                     (out / "voxels.csv").read_text().splitlines()]
+    assert header == ["submap", "i", "j", "k", "count", "min_frame", "max_frame"]
+    assert {"ground", "dynamic"} <= {r[0] for r in rows}
+    for *_, count, lo, hi in rows:
+        assert 1 <= int(count) <= int(hi) - int(lo) + 1 and 0 <= int(lo) <= int(hi) < 45
+    assert len({tuple(r[:4]) for r in rows}) == len(rows)
+
+
 # -- eval ----------------------------------------------------------------------
 
 def test_eval_clean_equals_raw_prints_dash(tmp_path, crossing_seq, capsys):

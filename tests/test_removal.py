@@ -3,39 +3,75 @@ import copy
 import numpy as np
 import pytest
 
-from mapclean.errors import ContractError
-from mapclean.io import PointCloud, Pose
-from mapclean.removal import (FrameReport, OnlinePipeline, RemovalConfig,
-                              downward_retrieval, process_frame,
-                              static_restoration, upward_retrieval)
+from mapclean.errors import ContractError, MapCleanError
+from mapclean.io import PointCloud
+from mapclean.removal import (OnlinePipeline, RemovalConfig, _downward,
+                              _restore, _upward, process_frame)
 from mapclean.simulate import (DynamicObject, Scenario, SensorModel,
                                ground_mask_from_labels, render_sequence)
-from mapclean.voxmap import MapState, cells_in_range, voxel_key, voxel_keys
+from mapclean.voxmap import (DYNAMIC, GROUND, NONGROUND, MapState,
+                             cells_in_range, pack_key, unpack_key, unpack_keys,
+                             voxel_keys)
 
 VOX = 0.2
 CFG = RemovalConfig()
 
 
-def center(key, s=VOX):
-    return (np.asarray(key, dtype=np.float64) + 0.5) * s
+CLASS = {"ground": GROUND, "nonground": NONGROUND, "dynamic": DYNAMIC}
 
 
-def cloud_at(keys):
-    return PointCloud(np.array([center(k) for k in keys]))
+def insert_keys(state, submap, keys, f, n_points=1):
+    """n_points points in each of the given cells of a submap, at frame f."""
+    table = state.ground_table if submap == "ground" else state.object_table
+    packed = np.repeat([pack_key(k) for k in keys], n_points).astype(np.int64)
+    table.insert(packed, np.zeros((len(packed), 3)), f, CLASS[submap])
 
 
-def seed_voxel(submap, key, frames, n_points=1):
-    for f in sorted(frames):
-        submap.insert_block(key, np.tile(center(key), (n_points, 1)), f)
+def seed_voxel(state, submap, key, frames, n_points=1):
+    """Insert n_points into one voxel of a submap at each of the given frames."""
+    for f in sorted(set(frames)):
+        insert_keys(state, submap, [key], f, n_points)
+
+
+def _ids(table, keys):
+    ids = table.find(np.array([pack_key(k) for k in keys], dtype=np.int64))
+    return ids[ids >= 0]
+
+
+def _keys(table, ids):
+    return sorted(unpack_key(int(pk)) for pk in table.key[ids])
+
+
+def downward(state, keys, cfg=CFG):
+    """Appear rule over the touched non-ground keys; returns the marked keys."""
+    obj = state.object_table
+    ids = _ids(obj, keys)
+    ids = ids[obj.cls[ids] == NONGROUND]
+    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
+    return _keys(obj, _downward(state, ids, steps, cfg.tau_ret))
+
+
+def upward(state, ground_keys, cfg=CFG):
+    """Disappear rule over the touched ground keys; returns the marked keys."""
+    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
+    marked = _upward(state, _ids(state.ground_table, ground_keys), steps, cfg.tau_ret)
+    return _keys(state.object_table, marked)
+
+
+def restore(state, dynamic_keys, cfg=CFG):
+    """Restoration over the touched dynamic keys; returns the restored keys."""
+    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
+    restored = _restore(state, _ids(state.object_table, dynamic_keys), steps, cfg.tau_res)
+    return _keys(state.object_table, restored)
 
 
 # -- appear rule -------------------------------------------------------------
 
 def test_downward_marks_late_object_over_old_ground():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), [2])
-    seed_voxel(state.nonground, (0, 0, 4), [12])   # 12 - 2 = 10 > 7
-    marked = downward_retrieval(cloud_at([(0, 0, 4)]), state, CFG)
+    seed_voxel(state, "ground", (0, 0, 0), [2])
+    seed_voxel(state, "nonground", (0, 0, 4), [12])   # 12 - 2 = 10 > 7
+    marked = downward(state, [(0, 0, 4)])
     assert marked == [(0, 0, 4)]
     assert (0, 0, 4) in state.dynamic
     assert (0, 0, 4) not in state.nonground
@@ -43,47 +79,47 @@ def test_downward_marks_late_object_over_old_ground():
 
 def test_downward_simultaneous_appearance_not_marked():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), [0])
-    seed_voxel(state.nonground, (0, 0, 3), [0])
-    assert downward_retrieval(cloud_at([(0, 0, 3)]), state, CFG) == []
+    seed_voxel(state, "ground", (0, 0, 0), [0])
+    seed_voxel(state, "nonground", (0, 0, 3), [0])
+    assert downward(state, [(0, 0, 3)]) == []
 
 
 def test_downward_gap_exactly_tau_not_marked():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), [0])
-    seed_voxel(state.nonground, (0, 0, 3), [7])    # 7 - 0 == tau_ret
-    assert downward_retrieval(cloud_at([(0, 0, 3)]), state, CFG) == []
-    seed_voxel(state.nonground, (1, 0, 3), [8])    # 8 - 0 > tau_ret
-    assert downward_retrieval(cloud_at([(1, 0, 3)]), state, CFG) == []  # no ground below
-    seed_voxel(state.ground, (1, 0, 0), [0])
+    seed_voxel(state, "ground", (0, 0, 0), [0])
+    seed_voxel(state, "nonground", (0, 0, 3), [7])    # 7 - 0 == tau_ret
+    assert downward(state, [(0, 0, 3)]) == []
+    seed_voxel(state, "nonground", (1, 0, 3), [8])    # 8 - 0 > tau_ret
+    assert downward(state, [(1, 0, 3)]) == []  # no ground below
+    seed_voxel(state, "ground", (1, 0, 0), [0])
     # ground below appeared later than the object: still compares mins
-    assert downward_retrieval(cloud_at([(1, 0, 3)]), state, CFG) == [(1, 0, 3)]
+    assert downward(state, [(1, 0, 3)]) == [(1, 0, 3)]
 
 
 def test_downward_no_ground_below_untouched():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.nonground, (0, 0, 40), [50])
-    assert downward_retrieval(cloud_at([(0, 0, 40)]), state, CFG) == []
+    seed_voxel(state, "nonground", (0, 0, 40), [50])
+    assert downward(state, [(0, 0, 40)]) == []
     assert (0, 0, 40) in state.nonground
 
 
 def test_downward_uses_first_ground_below():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 2), [10])   # nearer, newer
-    seed_voxel(state.ground, (0, 0, 0), [0])    # farther, older
-    seed_voxel(state.nonground, (0, 0, 4), [12])
+    seed_voxel(state, "ground", (0, 0, 2), [10])   # nearer, newer
+    seed_voxel(state, "ground", (0, 0, 0), [0])    # farther, older
+    seed_voxel(state, "nonground", (0, 0, 4), [12])
     # first hit is (0,0,2): 12 - 10 = 2 <= 7, so not marked even though the
     # deeper voxel would satisfy the gap
-    assert downward_retrieval(cloud_at([(0, 0, 4)]), state, CFG) == []
+    assert downward(state, [(0, 0, 4)]) == []
 
 
 # -- disappear rule ----------------------------------------------------------
 
 def test_upward_marks_stale_voxel():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), [0, 30])
-    seed_voxel(state.nonground, (0, 0, 2), [0, 10])   # 30 - 10 = 20 > 7
-    marked = upward_retrieval(cloud_at([(0, 0, 0)]), state, CFG)
+    seed_voxel(state, "ground", (0, 0, 0), [0, 30])
+    seed_voxel(state, "nonground", (0, 0, 2), [0, 10])   # 30 - 10 = 20 > 7
+    marked = upward(state, [(0, 0, 0)])
     assert marked == [(0, 0, 2)]
     assert (0, 0, 2) in state.dynamic
 
@@ -91,19 +127,19 @@ def test_upward_marks_stale_voxel():
 def test_upward_co_observed_never_marked():
     state = MapState(voxel_size=VOX)
     for f in range(20):
-        seed_voxel(state.ground, (0, 0, 0), [f])
-        seed_voxel(state.nonground, (0, 0, 2), [f])
-    assert upward_retrieval(cloud_at([(0, 0, 0)]), state, CFG) == []
+        seed_voxel(state, "ground", (0, 0, 0), [f])
+        seed_voxel(state, "nonground", (0, 0, 2), [f])
+    assert upward(state, [(0, 0, 0)]) == []
 
 
 def test_upward_checks_all_voxels_above():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), [0, 40])
-    seed_voxel(state.nonground, (0, 0, 1), [0, 39])   # gap 1: stays
-    seed_voxel(state.nonground, (0, 0, 9), [0, 10])   # gap 30: marked
-    seed_voxel(state.nonground, (0, 0, 15), [0, 10])  # gap 30: marked (step 15)
-    seed_voxel(state.nonground, (0, 0, 16), [0, 10])  # out of range: stays
-    marked = upward_retrieval(cloud_at([(0, 0, 0)]), state, CFG)
+    seed_voxel(state, "ground", (0, 0, 0), [0, 40])
+    seed_voxel(state, "nonground", (0, 0, 1), [0, 39])   # gap 1: stays
+    seed_voxel(state, "nonground", (0, 0, 9), [0, 10])   # gap 30: marked
+    seed_voxel(state, "nonground", (0, 0, 15), [0, 10])  # gap 30: marked (step 15)
+    seed_voxel(state, "nonground", (0, 0, 16), [0, 10])  # out of range: stays
+    marked = upward(state, [(0, 0, 0)])
     assert marked == [(0, 0, 9), (0, 0, 15)]
 
 
@@ -111,125 +147,130 @@ def test_upward_checks_all_voxels_above():
 
 def test_restoration_similar_counts_restores():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), range(50))
-    seed_voxel(state.dynamic, (0, 0, 3), range(10, 50))   # |50 - 40| = 10 < 15
-    restored = static_restoration(state, [(0, 0, 3)], CFG)
+    seed_voxel(state, "ground", (0, 0, 0), range(50))
+    seed_voxel(state, "dynamic", (0, 0, 3), range(10, 50))   # |50 - 40| = 10 < 15
+    restored = restore(state, [(0, 0, 3)])
     assert restored == [(0, 0, 3)]
     assert (0, 0, 3) in state.nonground
 
 
 def test_restoration_dissimilar_counts_stay():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), range(50))
-    seed_voxel(state.dynamic, (0, 0, 3), [1, 2, 3])       # |50 - 3| = 47 >= 15
-    assert static_restoration(state, [(0, 0, 3)], CFG) == []
+    seed_voxel(state, "ground", (0, 0, 0), range(50))
+    seed_voxel(state, "dynamic", (0, 0, 3), [1, 2, 3])       # |50 - 3| = 47 >= 15
+    assert restore(state, [(0, 0, 3)]) == []
     assert (0, 0, 3) in state.dynamic
 
 
 def test_restoration_difference_exactly_tau_stays():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), range(30))
-    seed_voxel(state.dynamic, (0, 0, 3), range(15, 30))   # |30 - 15| == 15
-    assert static_restoration(state, [(0, 0, 3)], CFG) == []
+    seed_voxel(state, "ground", (0, 0, 0), range(30))
+    seed_voxel(state, "dynamic", (0, 0, 3), range(15, 30))   # |30 - 15| == 15
+    assert restore(state, [(0, 0, 3)]) == []
 
 
 def test_restoration_absolute_difference():
     state = MapState(voxel_size=VOX)
-    seed_voxel(state.ground, (0, 0, 0), range(5))
-    seed_voxel(state.dynamic, (0, 0, 3), range(12))       # |5 - 12| = 7 < 15
-    assert static_restoration(state, [(0, 0, 3)], CFG) == [(0, 0, 3)]
+    seed_voxel(state, "ground", (0, 0, 0), range(5))
+    seed_voxel(state, "dynamic", (0, 0, 3), range(12))       # |5 - 12| = 7 < 15
+    assert restore(state, [(0, 0, 3)]) == [(0, 0, 3)]
 
 
 # -- brute-force equivalence on arbitrary map states --------------------------
+#
+# A random state is drawn as a plain model, submap -> {key: set of frames},
+# and the brute-force rules read only that model.
 
-def brute_downward(state, u_cloud, cfg):
-    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
-    marked = []
-    for key in {voxel_key(p, state.voxel_size) for p in u_cloud.xyz}:
-        if key in state.dynamic or key not in state.nonground:
+def _first_ground_below(model, key, steps):
+    i, j, k = key
+    return next(((i, j, k - s) for s in range(1, steps + 1)
+                 if (i, j, k - s) in model["ground"]), None)
+
+
+def brute_downward(model, u_keys, cfg):
+    steps = cells_in_range(cfg.vertical_range, VOX)
+    marked = set()
+    for key in set(u_keys):
+        if key in model["dynamic"] or key not in model["nonground"]:
             continue
-        i, j, k = key
-        gkey = None
-        for s in range(1, steps + 1):
-            if (i, j, k - s) in state.ground:
-                gkey = (i, j, k - s)
-                break
+        gkey = _first_ground_below(model, key, steps)
         if gkey is None:
             continue
-        nmin = min(state.nonground.get(key).frame_set)
-        gmin = min(state.ground.get(gkey).frame_set)
-        if nmin - gmin > cfg.tau_ret:
-            marked.append(key)
-    return set(marked)
+        if min(model["nonground"][key]) - min(model["ground"][gkey]) > cfg.tau_ret:
+            marked.add(key)
+    return marked
 
 
-def brute_upward(state, g_cloud, cfg):
-    steps = cells_in_range(cfg.vertical_range, state.voxel_size)
+def brute_upward(model, g_keys, cfg):
+    steps = cells_in_range(cfg.vertical_range, VOX)
     marked = set()
-    for gkey in {voxel_key(p, state.voxel_size) for p in g_cloud.xyz}:
-        if gkey not in state.ground:
+    for gkey in set(g_keys):
+        if gkey not in model["ground"]:
             continue
-        gmax = max(state.ground.get(gkey).frame_set)
+        gmax = max(model["ground"][gkey])
         i, j, k = gkey
         for s in range(1, steps + 1):
             key = (i, j, k + s)
-            if key in state.nonground:
-                if gmax - max(state.nonground.get(key).frame_set) > cfg.tau_ret:
+            if key in model["nonground"]:
+                if gmax - max(model["nonground"][key]) > cfg.tau_ret:
                     marked.add(key)
     return marked
 
 
-def random_state(rng, n_voxels=400):
-    state = MapState(voxel_size=VOX)
+def random_model(rng, n_voxels=400):
+    model = {"ground": {}, "nonground": {}, "dynamic": {}}
     for _ in range(n_voxels):
         key = (int(rng.integers(-4, 4)), int(rng.integers(-4, 4)),
                int(rng.integers(-10, 25)))
-        frames = rng.integers(0, 60, size=rng.integers(1, 6))
+        frames = set(rng.integers(0, 60, size=rng.integers(1, 6)).tolist())
         which = rng.random()
         if which < 0.4:
-            seed_voxel(state.ground, key, frames.tolist())
-        elif key in state.dynamic or key in state.nonground:
+            model["ground"].setdefault(key, set()).update(frames)
+        elif key in model["dynamic"] or key in model["nonground"]:
             continue
         elif which < 0.8:
-            seed_voxel(state.nonground, key, frames.tolist())
+            model["nonground"][key] = frames
         else:
-            seed_voxel(state.dynamic, key, frames.tolist())
+            model["dynamic"][key] = frames
+    return model
+
+
+def state_of(model):
+    """The map state holding the model, built one frame at a time."""
+    state = MapState(voxel_size=VOX)
+    for f in range(60):
+        for submap, voxels in model.items():
+            insert_keys(state, submap, [k for k, frames in voxels.items() if f in frames], f)
     return state
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_retrieval_matches_brute_force_on_random_states(seed):
     rng = np.random.default_rng(seed)
-    state = random_state(rng)
-    u_keys = [k for k in state.nonground.keys()
-              if rng.random() < 0.5] + [(0, 0, 50)]
-    g_keys = [k for k in state.ground.keys() if rng.random() < 0.5]
-    u_cloud, g_cloud = cloud_at(u_keys), cloud_at(g_keys)
+    model = random_model(rng)
+    state = state_of(model)
+    u_keys = [k for k in model["nonground"] if rng.random() < 0.5] + [(0, 0, 50)]
+    g_keys = [k for k in model["ground"] if rng.random() < 0.5]
 
-    ref = copy.deepcopy(state)
-    expect_down = brute_downward(ref, u_cloud, CFG)
-    got_down = set(downward_retrieval(u_cloud, state, CFG))
-    assert got_down == expect_down
+    expect_down = brute_downward(model, u_keys, CFG)
+    assert set(downward(state, u_keys)) == expect_down
 
-    expect_up = brute_upward(ref, g_cloud, CFG)
     # brute result must discount voxels the appear rule already moved
-    expect_up -= expect_down
-    got_up = set(upward_retrieval(g_cloud, state, CFG))
-    assert got_up == expect_up
+    expect_up = brute_upward(model, g_keys, CFG) - expect_down
+    assert set(upward(state, g_keys)) == expect_up
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_raising_tau_shrinks_marked_set(seed):
     rng = np.random.default_rng(100 + seed)
-    base = random_state(rng)
-    u_cloud = cloud_at(base.nonground.keys())
-    g_cloud = cloud_at(base.ground.keys())
+    model = random_model(rng)
+    base = state_of(model)
     prev = None
     for tau in (1, 3, 7, 15, 31):
         state = copy.deepcopy(base)
         cfg = RemovalConfig(tau_ret=tau)
-        marked = set(downward_retrieval(u_cloud, state, cfg))
-        marked |= set(upward_retrieval(g_cloud, state, cfg))
+        marked = set(downward(state, list(model["nonground"]), cfg))
+        marked |= set(upward(state, list(model["ground"]), cfg))
         if prev is not None:
             assert marked <= prev
         prev = marked
@@ -298,7 +339,8 @@ def test_conservation_and_disjointness_each_frame():
         total = (state.ground.total_points() + state.nonground.total_points()
                  + state.dynamic.total_points())
         assert total == inserted
-        assert not set(state.nonground.cells) & set(state.dynamic.cells)
+        for table in (state.ground_table, state.object_table):
+            assert len(np.unique(table.key)) == len(table)   # one row per key
 
 
 def test_frames_must_increase():
@@ -336,7 +378,86 @@ def test_report_counts_match_key_lists():
 def test_points_only_accrue_current_frame_index():
     frames = render_sequence(small_scene(frames=3))
     pipe = run_frames(frames)
-    for submap in (pipe.state.ground, pipe.state.nonground):
-        for vd in submap.cells.values():
-            assert vd.max_frame <= 2
-            assert vd.frame_set <= {0, 1, 2}
+    seen = {"ground": {}, "object": {}}
+    for f, fr in enumerate(frames):
+        world = fr.scan.xyz @ fr.pose.rotation.T + fr.pose.translation
+        ground = ground_mask_from_labels(fr.labels)
+        for name, sel in (("ground", ground), ("object", ~ground)):
+            for key in map(tuple, voxel_keys(world[sel], VOX).tolist()):
+                seen[name].setdefault(key, set()).add(f)
+    for name, table in (("ground", pipe.state.ground_table),
+                        ("object", pipe.state.object_table)):
+        got = {tuple(k): stats for k, *stats in zip(
+            unpack_keys(table.key).tolist(), table.first.tolist(),
+            table.last.tolist(), table.count.tolist())}
+        assert got == {k: [min(fs), max(fs), len(fs)] for k, fs in seen[name].items()}
+
+
+# -- atomic frames -------------------------------------------------------------
+
+def snapshot(state):
+    """Copies of everything the map holds."""
+    out = [state.last_frame]
+    for t in (state.ground_table, state.object_table):
+        out += [a.copy() for a in (t.key, t.first, t.last, t.count, t.cls,
+                                   t._sorted, t._ids, *t.points())]
+    return out
+
+
+def assert_unchanged(before, state):
+    after = snapshot(state)
+    assert after[0] == before[0]
+    for a, b in zip(before[1:], after[1:]):
+        np.testing.assert_array_equal(a, b)
+
+
+def started_pipeline():
+    """A pipeline two frames in, and the third frame of its scene."""
+    obj = DynamicObject(size=[1.0, 1.0, 1.0], start=[4.0, 1.0, 0.9],
+                        velocity=[0.25, 0.0, 0.0], visible=(0, 2))
+    frames = render_sequence(small_scene([obj], frames=3))
+    pipe = run_frames(frames[:2])
+    return pipe, frames[2]
+
+
+def test_integer_ground_mask_rejected_and_state_unchanged():
+    pipe, fr = started_pipeline()
+    before = snapshot(pipe.state)
+    mask = ground_mask_from_labels(fr.labels)
+    with pytest.raises(ContractError):
+        pipe.process(fr.scan, fr.pose, 2, ground_mask=mask.astype(int))
+    assert_unchanged(before, pipe.state)
+    pipe.process(fr.scan, fr.pose, 2, ground_mask=mask)   # a retry counts once
+    for table in (pipe.state.ground_table, pipe.state.object_table):
+        assert len(table) and (table.count <= 3).all()
+
+
+@pytest.mark.parametrize("labels", [True, False])
+def test_nan_point_rejected_and_state_unchanged(labels):
+    pipe, fr = started_pipeline()
+    before = snapshot(pipe.state)
+    xyz = fr.scan.xyz.copy()
+    xyz[len(xyz) // 2] = [np.nan, 0.0, 0.0]
+    mask = ground_mask_from_labels(fr.labels) if labels else None
+    with pytest.raises(ContractError):
+        pipe.process(PointCloud(xyz), fr.pose, 2, ground_mask=mask)
+    assert_unchanged(before, pipe.state)
+
+
+def test_frame_index_beyond_int32_rejected_and_state_unchanged():
+    pipe, fr = started_pipeline()
+    before = snapshot(pipe.state)
+    with pytest.raises(ContractError):
+        pipe.process(fr.scan, fr.pose, 2**31, ground_mask=ground_mask_from_labels(fr.labels))
+    assert_unchanged(before, pipe.state)
+
+
+def test_cell_outside_grid_rejected_and_state_unchanged():
+    pipe, fr = started_pipeline()
+    before = snapshot(pipe.state)
+    xyz = fr.scan.xyz.copy()
+    xyz[-1] = [0.0, 0.0, 0.2 * (1 << 20) + 1.0]   # one cell above the packable range
+    with pytest.raises(MapCleanError):
+        pipe.process(PointCloud(xyz), fr.pose, 2,
+                     ground_mask=ground_mask_from_labels(fr.labels))
+    assert_unchanged(before, pipe.state)

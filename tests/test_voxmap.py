@@ -1,57 +1,81 @@
 import numpy as np
 import pytest
 
-from mapclean.voxmap import (MapState, Submap, VoxelData, cells_in_range,
-                             dump_csv, export_dynamic_map, export_static_map,
-                             ground_voxel_below, move_voxel,
-                             nonground_voxels_above, pack_key, unpack_key,
-                             voxel_key, voxel_keys)
+from mapclean.errors import ContractError
+from mapclean.voxmap import (DYNAMIC, GROUND, NONGROUND, MapState, VoxelTable,
+                             cells_in_range, dump_csv, export_dynamic_map,
+                             export_static_map, pack_key, pack_keys, unpack_key,
+                             unpack_keys, voxel_keys)
+
+EDGE = 1 << 20   # grid indices live in [-EDGE, EDGE)
 
 
-def brute_force_below(state, key, max_range):
-    i, j, k = key
-    for step in range(1, cells_in_range(max_range, state.voxel_size) + 1):
-        if (i, j, k - step) in state.ground:
-            return (i, j, k - step)
-    return None
+def insert_points(table, pts, f, voxel_size=0.2, cls=NONGROUND):
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    return table.insert(pack_keys(voxel_keys(pts, voxel_size)), pts, f, cls)
 
 
-def brute_force_above(state, key, max_range):
-    i, j, k = key
-    out = []
-    for step in range(1, cells_in_range(max_range, state.voxel_size) + 1):
-        if (i, j, k + step) in state.nonground:
-            out.append((i, j, k + step))
-    return out
+def insert_keys(table, keys, f, n_points=1, cls=NONGROUND):
+    """n_points points in each given cell (coordinates don't matter here)."""
+    packed = np.repeat([pack_key(k) for k in keys], n_points).astype(np.int64)
+    return table.insert(packed, np.zeros((len(packed), 3)), f, cls)
 
 
-def audit(state, inserted_points):
-    """Full recheck of conservation, disjointness and cached statistics."""
+def row(table, key):
+    """(first, last, count, points) of one voxel."""
+    vid = table.find(np.array([pack_key(key)]))[0]
+    assert vid >= 0, key
+    _, point_vid = table.points()
+    return (int(table.first[vid]), int(table.last[vid]), int(table.count[vid]),
+            int(np.count_nonzero(point_vid == vid)))
+
+
+def keys_of(table, ids):
+    return [unpack_key(int(pk)) for pk in table.key[ids]]
+
+
+class Shadow:
+    """Independent model of the map: key -> set of frames, points and class."""
+
+    def __init__(self):
+        self.frames = {GROUND: {}, "object": {}}
+        self.points = {GROUND: {}, "object": {}}
+        self.cls = {}                      # object key -> NONGROUND / DYNAMIC
+
+    def add(self, table, key, f):
+        self.frames[table].setdefault(key, set()).add(f)
+        self.points[table][key] = self.points[table].get(key, 0) + 1
+        if table == "object":
+            self.cls.setdefault(key, NONGROUND)
+
+
+def audit(state, shadow):
+    """Full recheck of every row, the key index, conservation and classes."""
+    for name, table in ((GROUND, state.ground_table), ("object", state.object_table)):
+        frames, points = shadow.frames[name], shadow.points[name]
+        assert len(table) == len(frames)
+        assert len(np.unique(table.key)) == len(table)
+        np.testing.assert_array_equal(table._sorted, np.sort(table.key))
+        np.testing.assert_array_equal(table.key[table._ids], table._sorted)
+        _, point_vid = table.points()
+        per_voxel = np.bincount(point_vid, minlength=len(table))
+        for vid, key in enumerate(unpack_keys(table.key).tolist()):
+            fs = frames[tuple(key)]
+            assert table.first[vid] == min(fs)
+            assert table.last[vid] == max(fs)
+            assert table.count[vid] == len(fs)
+            assert per_voxel[vid] == points[tuple(key)]
     total = (state.ground.total_points() + state.nonground.total_points()
              + state.dynamic.total_points())
-    assert total == inserted_points
-    non_keys = set(state.nonground.cells)
-    dyn_keys = set(state.dynamic.cells)
-    assert not (non_keys & dyn_keys)
-    for submap in (state.ground, state.nonground, state.dynamic):
-        for pk, vd in submap.cells.items():
-            assert vd.min_frame == min(vd.frame_set)
-            assert vd.max_frame == max(vd.frame_set)
-            assert vd.count == len(vd.frame_set)
-            assert vd.n_points == sum(len(b) for b in vd.blocks)
-        # column index matches cell contents
-        cols = {}
-        for pk in submap.cells:
-            i, j, k = unpack_key(pk)
-            cols.setdefault(pk >> 21, []).append(k)
-        assert {c: sorted(v) for c, v in cols.items()} == \
-            {c: list(v) for c, v in submap._columns.items()}
+    assert total == sum(sum(p.values()) for p in shadow.points.values())
+    for key, cls in shadow.cls.items():
+        assert (key in state.dynamic) == (cls == DYNAMIC)
+        assert (key in state.nonground) == (cls == NONGROUND)
 
 
 def test_voxel_key_examples():
-    assert voxel_key((0.45, -0.13, 1.98), 0.2) == (2, -1, 9)
-    assert voxel_key((0.0, 0.0, 0.0), 0.2) == (0, 0, 0)
-    assert voxel_key((0.2, 0.2, 0.2), 0.2) == (1, 1, 1)
+    pts = [(0.45, -0.13, 1.98), (0.0, 0.0, 0.0), (0.2, 0.2, 0.2)]
+    assert voxel_keys(pts, 0.2).tolist() == [[2, -1, 9], [0, 0, 0], [1, 1, 1]]
 
 
 def test_voxel_key_half_open_cells():
@@ -69,6 +93,17 @@ def test_pack_unpack_roundtrip():
     for _ in range(100):
         key = tuple(int(v) for v in rng.integers(-(1 << 19), 1 << 19, 3))
         assert unpack_key(pack_key(key)) == key
+    keys = rng.integers(-EDGE, EDGE, (1000, 3))
+    keys[:3] = [[-EDGE] * 3, [EDGE - 1] * 3, [0, -EDGE, EDGE - 1]]
+    packed = pack_keys(keys)
+    np.testing.assert_array_equal(unpack_keys(packed), keys)
+    assert [pack_key(tuple(k)) for k in keys.tolist()] == packed.tolist()
+
+
+def test_pack_keys_rejects_cells_outside_range():
+    for bad in ([0, 0, EDGE], [-EDGE - 1, 0, 0]):
+        with pytest.raises(ContractError):
+            pack_keys(np.array([[0, 0, 0], bad]))
 
 
 def test_cells_in_range():
@@ -78,162 +113,180 @@ def test_cells_in_range():
 
 
 def test_insert_set_semantics():
-    sm = Submap(0.2)
-    sm.insert((0.1, 0.1, 0.1), 4)
-    sm.insert((0.11, 0.12, 0.13), 4)
-    vd = sm.get((0, 0, 0))
-    assert vd.count == 1
-    assert vd.n_points == 2
+    table = VoxelTable()
+    insert_points(table, [(0.1, 0.1, 0.1), (0.11, 0.12, 0.13)], 4)
+    assert row(table, (0, 0, 0)) == (4, 4, 1, 2)
 
 
 def test_insert_min_max():
-    sm = Submap(0.2)
-    sm.insert((0.1, 0.1, 0.1), 3)
-    sm.insert((0.1, 0.1, 0.1), 9)
-    vd = sm.get((0, 0, 0))
-    assert (vd.min_frame, vd.max_frame, vd.count) == (3, 9, 2)
+    table = VoxelTable()
+    insert_points(table, (0.1, 0.1, 0.1), 3)
+    insert_points(table, (0.1, 0.1, 0.1), 9)
+    assert row(table, (0, 0, 0))[:3] == (3, 9, 2)
 
 
 def test_insert_cached_stats_match_recompute():
     rng = np.random.default_rng(2)
-    sm = Submap(0.5)
-    for _ in range(1000):
-        sm.insert(rng.uniform(-2, 2, 3), int(rng.integers(0, 50)))
-    for vd in sm.cells.values():
-        assert vd.min_frame == min(vd.frame_set)
-        assert vd.max_frame == max(vd.frame_set)
-        assert vd.count == len(vd.frame_set)
+    table, shadow = VoxelTable(), {}
+    for f in range(50):
+        pts = rng.uniform(-2, 2, (int(rng.integers(0, 40)), 3))
+        insert_points(table, pts, f, voxel_size=0.5)
+        for key in map(tuple, voxel_keys(pts, 0.5).tolist()):
+            shadow.setdefault(key, set()).add(f)
+    assert len(table) == len(shadow)
+    for key, fs in shadow.items():
+        assert row(table, key)[:3] == (min(fs), max(fs), len(fs))
 
 
 def test_insert_block_equals_repeated_single():
     rng = np.random.default_rng(8)
-    pts = rng.uniform(0.0, 0.2, (20, 3))  # one voxel at s=0.2
-    a, b = Submap(0.2), Submap(0.2)
-    a.insert_block((0, 0, 0), pts, 7)
-    for p in pts:
-        b.insert(p, 7)
-    va, vb = a.get((0, 0, 0)), b.get((0, 0, 0))
-    assert va.frame_set == vb.frame_set
-    np.testing.assert_array_equal(va.points(), vb.points())
+    pts = rng.uniform(0.0, 0.6, (60, 3))    # 27 voxels at s=0.2
+    table = VoxelTable()
+    ids = insert_points(table, pts, 7)
+    keys = voxel_keys(pts, 0.2)
+    single = {}
+    for key, p in zip(map(tuple, keys.tolist()), pts):
+        single.setdefault(key, []).append(p)
+    assert keys_of(table, ids) == sorted(single)   # one id per key, key order
+    xyz, vid = table.points()
+    for key, group in single.items():
+        assert row(table, key)[:3] == (7, 7, 1)
+        mine = xyz[vid == table.find(np.array([pack_key(key)]))[0]]
+        np.testing.assert_array_equal(mine, np.asarray(group, dtype=np.float32))
 
 
 def test_ground_below_first_hit():
-    state = MapState(voxel_size=0.2)
-    state.ground.insert_block((0, 0, 4), np.zeros((1, 3)), 0)
-    assert ground_voxel_below(state, (0, 0, 5), 3.0) == (0, 0, 4)
+    table = VoxelTable()
+    insert_keys(table, [(0, 0, 4)], 0, cls=GROUND)
+    got = table.below(np.array([pack_key((0, 0, 5))]), 15)
+    assert keys_of(table, got) == [(0, 0, 4)]
 
 
 def test_ground_below_none_in_range():
-    state = MapState(voxel_size=0.2)
-    state.ground.insert_block((0, 0, -20), np.zeros((1, 3)), 0)
-    assert ground_voxel_below(state, (0, 0, 5), 3.0) is None
+    table = VoxelTable()
+    assert table.below(np.array([pack_key((0, 0, 5))]), 15).tolist() == [-1]
+    insert_keys(table, [(0, 0, -20), (0, 0, 5), (0, -1, 4)], 0, cls=GROUND)
+    # neither (0, 0, 5) itself nor the neighbouring column's cell counts
+    assert table.below(np.array([pack_key((0, 0, 5))]), 15).tolist() == [-1]
 
 
 def test_ground_below_nearest_wins():
-    state = MapState(voxel_size=0.2)
-    state.ground.insert_block((0, 0, 3), np.zeros((1, 3)), 0)   # step 2
-    state.ground.insert_block((0, 0, -2), np.zeros((1, 3)), 0)  # step 7
-    assert ground_voxel_below(state, (0, 0, 5), 3.0) == (0, 0, 3)
+    table = VoxelTable()
+    insert_keys(table, [(0, 0, 3), (0, 0, -2)], 0, cls=GROUND)   # steps 2 and 7
+    got = table.below(np.array([pack_key((0, 0, 5))]), 15)
+    assert keys_of(table, got) == [(0, 0, 3)]
 
 
 def test_voxels_above_empty():
-    state = MapState(voxel_size=0.2)
-    assert nonground_voxels_above(state, (0, 0, 0), 3.0) == []
+    ids, owner = VoxelTable().above(np.array([pack_key((0, 0, 0))]), 15)
+    assert len(ids) == len(owner) == 0
 
 
 def test_voxels_above_all_in_order():
-    state = MapState(voxel_size=0.2)
-    state.nonground.insert_block((0, 0, 1), np.zeros((1, 3)), 0)
-    state.nonground.insert_block((0, 0, 12), np.zeros((1, 3)), 0)
-    state.nonground.insert_block((0, 0, 16), np.zeros((1, 3)), 0)  # out of range
-    assert nonground_voxels_above(state, (0, 0, 0), 3.0) == [(0, 0, 1), (0, 0, 12)]
+    table = VoxelTable()
+    insert_keys(table, [(0, 0, 1), (0, 0, 12), (0, 0, 16)], 0)   # 16 out of range
+    insert_keys(table, [(0, 1, 2)], 1)
+    ids, owner = table.above(np.array([pack_key((0, 0, 0)), pack_key((0, 1, 0))]), 15)
+    assert keys_of(table, ids) == [(0, 0, 1), (0, 0, 12), (0, 1, 2)]
+    assert owner.tolist() == [0, 0, 1]
 
 
 def test_column_queries_match_brute_force():
     rng = np.random.default_rng(4)
-    state = MapState(voxel_size=0.2)
+    ground, nonground = VoxelTable(), VoxelTable()
+    ground_keys, nonground_keys = set(), set()
+    # columns at the packing edge check that no query leaks into the next column
+    cols = [(-3, -3), (-3, -2), (0, EDGE - 1), (1, -EDGE), (2, 2)]
+    for f in range(30):
+        keys = set()
+        for _ in range(10):
+            i, j = cols[int(rng.integers(0, len(cols)))]
+            k = int(rng.choice([rng.integers(-20, 20), rng.integers(-EDGE, -EDGE + 20),
+                                rng.integers(EDGE - 20, EDGE)]))
+            keys.add((i, j, k))
+        to_ground = {k for k in keys if rng.random() < 0.5}
+        insert_keys(ground, sorted(to_ground), f, cls=GROUND)
+        insert_keys(nonground, sorted(keys - to_ground), f)
+        ground_keys |= to_ground
+        nonground_keys |= keys - to_ground
+    queries = []
     for _ in range(300):
-        key = (int(rng.integers(-3, 3)), int(rng.integers(-3, 3)),
-               int(rng.integers(-20, 20)))
-        target = state.ground if rng.random() < 0.5 else state.nonground
-        target.insert_block(key, np.zeros((1, 3)), int(rng.integers(0, 10)))
-    for _ in range(200):
-        key = (int(rng.integers(-3, 3)), int(rng.integers(-3, 3)),
-               int(rng.integers(-20, 20)))
-        assert ground_voxel_below(state, key, 3.0) == brute_force_below(state, key, 3.0)
-        assert nonground_voxels_above(state, key, 3.0) == brute_force_above(state, key, 3.0)
+        i, j = cols[int(rng.integers(0, len(cols)))]
+        queries.append((i, j, int(rng.choice([rng.integers(-25, 25),
+                                               rng.integers(-EDGE, -EDGE + 25),
+                                               rng.integers(EDGE - 25, EDGE)]))))
+    packed = np.array([pack_key(q) for q in queries])
+    below = ground.below(packed, 15)
+    above, owner = nonground.above(packed, 15)
+    for n, (i, j, k) in enumerate(queries):
+        expect_below = next(((i, j, k - s) for s in range(1, 16)
+                             if (i, j, k - s) in ground_keys), None)
+        got_below = keys_of(ground, below[n:n + 1]) if below[n] >= 0 else [None]
+        assert got_below == [expect_below]
+        expect_above = [(i, j, k + s) for s in range(1, 16) if (i, j, k + s) in nonground_keys]
+        assert keys_of(nonground, above[owner == n]) == expect_above
 
 
 def test_move_voxel_basic():
     state = MapState(voxel_size=0.2)
-    state.nonground.insert_block((1, 2, 3), np.zeros((5, 3)), 0)
-    assert move_voxel(state.nonground, state.dynamic, (1, 2, 3))
+    ids = insert_keys(state.object_table, [(1, 2, 3)], 0, n_points=5)
+    state.object_table.cls[ids] = DYNAMIC      # a move flips the class byte
     assert (1, 2, 3) not in state.nonground
-    assert state.dynamic.get((1, 2, 3)).n_points == 5
-
-
-def test_move_voxel_merges_frame_sets():
-    state = MapState(voxel_size=0.2)
-    state.nonground.insert_block((0, 0, 0), np.zeros((1, 3)), 1)
-    state.nonground.insert_block((0, 0, 0), np.zeros((1, 3)), 2)
-    state.dynamic.insert_block((0, 0, 0), np.zeros((1, 3)), 2)
-    state.dynamic.insert_block((0, 0, 0), np.zeros((1, 3)), 3)
-    move_voxel(state.nonground, state.dynamic, (0, 0, 0))
-    vd = state.dynamic.get((0, 0, 0))
-    assert vd.frame_set == {1, 2, 3}
-    assert (vd.min_frame, vd.max_frame, vd.count) == (1, 3, 3)
-
-
-def test_move_voxel_missing_key_is_noop():
-    state = MapState(voxel_size=0.2)
-    assert not move_voxel(state.nonground, state.dynamic, (9, 9, 9))
+    assert (1, 2, 3) in state.dynamic
+    assert state.dynamic.total_points() == 5
+    assert len(export_dynamic_map(state)) == 5
+    assert row(state.object_table, (1, 2, 3)) == (0, 0, 1, 5)
 
 
 def test_export_static_map_counts():
     state = MapState(voxel_size=0.2)
-    state.ground.insert_block((0, 0, 0), np.zeros((10, 3)), 0)
-    state.nonground.insert_block((0, 0, 1), np.zeros((5, 3)), 0)
-    state.dynamic.insert_block((0, 0, 2), np.zeros((3, 3)), 0)
+    insert_keys(state.ground_table, [(0, 0, 0)], 0, n_points=10, cls=GROUND)
+    insert_keys(state.object_table, [(0, 0, 1)], 0, n_points=5)
+    dyn = insert_keys(state.object_table, [(0, 0, 2)], 1, n_points=3)
+    state.object_table.cls[dyn] = DYNAMIC
     assert len(export_static_map(state)) == 15
     assert len(export_dynamic_map(state)) == 3
     empty = MapState(voxel_size=0.2)
     assert len(export_static_map(empty)) == 0
+    assert len(export_dynamic_map(empty)) == 0
 
 
 def test_dump_csv(tmp_path):
     state = MapState(voxel_size=0.2)
-    state.ground.insert_block((1, -2, 0), np.zeros((2, 3)), 5)
+    insert_keys(state.ground_table, [(1, -2, 0)], 5, n_points=2, cls=GROUND)
+    insert_keys(state.ground_table, [(1, -2, 0)], 8, cls=GROUND)
+    dyn = insert_keys(state.object_table, [(0, 0, 3)], 9)
+    state.object_table.cls[dyn] = DYNAMIC
     path = tmp_path / "voxels.csv"
     dump_csv(state, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "submap,i,j,k,count,min_frame,max_frame"
-    assert lines[1] == "ground,1,-2,0,1,5,5"
+    assert lines[1:] == ["ground,1,-2,0,2,5,8", "dynamic,0,0,3,1,9,9"]
 
 
 def test_random_operation_stream_invariants():
     rng = np.random.default_rng(6)
-    state = MapState(voxel_size=0.5)
-    inserted = 0
-    for step in range(5000):
+    state, shadow = MapState(voxel_size=0.5), Shadow()
+    obj = state.object_table
+    f = 0
+    for step in range(3000):
         op = rng.random()
         if op < 0.6:
-            p = rng.uniform(-3, 3, 3)
-            f = int(rng.integers(0, 100))
-            key = voxel_key(p, 0.5)
-            which = rng.random()
-            if which < 0.4:
-                state.ground.insert(p, f)
-            elif key in state.dynamic:
-                state.dynamic.insert(p, f)
-            else:
-                state.nonground.insert(p, f)
-            inserted += 1
-        elif op < 0.8 and len(state.nonground):
-            key = state.nonground.keys()[int(rng.integers(0, len(state.nonground)))]
-            move_voxel(state.nonground, state.dynamic, key)
-        elif len(state.dynamic):
-            key = state.dynamic.keys()[int(rng.integers(0, len(state.dynamic)))]
-            move_voxel(state.dynamic, state.nonground, key)
+            f += int(rng.integers(1, 3))
+            pts = rng.uniform(-3, 3, (int(rng.integers(1, 6)), 3))
+            name = GROUND if rng.random() < 0.4 else "object"
+            table = state.ground_table if name == GROUND else obj
+            insert_points(table, pts, f, voxel_size=0.5,
+                          cls=GROUND if name == GROUND else NONGROUND)
+            for key in map(tuple, voxel_keys(pts, 0.5).tolist()):
+                shadow.add(name, key, f)
+        else:
+            src, dst = (state.nonground, DYNAMIC) if op < 0.8 else (state.dynamic, NONGROUND)
+            ids = src.ids()
+            if len(ids):
+                vid = ids[int(rng.integers(0, len(ids)))]
+                obj.cls[vid] = dst
+                shadow.cls[unpack_key(int(obj.key[vid]))] = dst
         if step % 500 == 0:
-            audit(state, inserted)
-    audit(state, inserted)
+            audit(state, shadow)
+    audit(state, shadow)
