@@ -9,9 +9,8 @@ from .config import PipelineConfig, config_from_dict, load_config, save_config
 from .errors import ContractError, MapCleanError, ParseError
 from .evaluation import (BenchReport, EvalReport, benchmark,
                          build_ground_truth, score, summarize_reports)
-from .ground import (GroundModel, GroundSegConfig, RangeImage,
-                     build_range_image, extract_candidates, refine_pca,
-                     segment_ground, segment_ground_mask)
+from .ground import (GroundSegConfig, build_range_image, extract_candidates,
+                     segment_ground_mask)
 from .io import (PointCloud, Pose, poses_to_velodyne_frame, read_calibration,
                  read_labels, read_map, read_poses, read_scan,
                  transform_to_world, write_labels, write_map, write_poses)

@@ -7,9 +7,10 @@ is echoed into each run's output directory for reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import ContractError
+from .errors import ContractError, is_integer, is_number
 from .evaluation import EVAL_VOXEL_SIZE, MOVING_CLASSES
 from .ground import GroundSegConfig
 from .removal import RemovalConfig
@@ -40,6 +41,11 @@ class FramesConfig:
     start: int = None
     end: int = None
 
+    def __post_init__(self):
+        if not all(v is None or (is_integer(v) and v >= 0) for v in (self.start, self.end)):
+            raise ContractError(
+                f"frames start/end must be integers >= 0, got {self.start!r}, {self.end!r}")
+
 
 @dataclass
 class PipelineConfig:
@@ -50,6 +56,11 @@ class PipelineConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
     frames: FramesConfig = field(default_factory=FramesConfig)
+
+    def __post_init__(self):
+        if not (is_number(self.voxel_size) and 0 < self.voxel_size < math.inf):
+            raise ContractError(f"voxel_size must be a number > 0, got {self.voxel_size!r}")
+        self.voxel_size = float(self.voxel_size)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -76,7 +87,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ContractError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     if "voxel_size" in data:
-        kwargs["voxel_size"] = float(data["voxel_size"])
+        kwargs["voxel_size"] = data["voxel_size"]
     for name, cls in _SECTIONS.items():
         if name in data:
             section = data[name]

@@ -6,6 +6,9 @@ column bottom-up, keeping cells while the inclination angle between
 consecutive returns stays shallow. Step two fits a plane per x-y sector to
 the surviving candidates (seeded from the lowest points, iterated with an
 inlier threshold) and keeps candidates close to their sector plane.
+
+The projection and the walk are vectorised numpy; tests/test_ground.py
+keeps the per-point and per-cell loops they must match entry for entry.
 """
 
 from __future__ import annotations
@@ -15,18 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractError, is_integer
 from .io import PointCloud
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pure-numpy fallbacks below
-    HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def deco(fn):
-            return fn
-        return deco
 
 
 @dataclass
@@ -45,10 +38,14 @@ class GroundSegConfig:
     min_sector_candidates: int = 10
     max_fit_points: int = 4000   # per-sector cap during plane iteration
 
+    def __post_init__(self):
+        if not all(is_integer(v) and v >= 2 for v in (self.rows, self.cols)):
+            raise ContractError(
+                f"rows and cols must be integers >= 2, got {self.rows!r}, {self.cols!r}")
+
 
 @dataclass
 class RangeImage:
-    ranges: np.ndarray       # (rows, cols) float64, 0 where empty
     point_index: np.ndarray  # (rows, cols) int64, -1 where empty
     point_rows: np.ndarray   # (N,) row of every scan point, -1 outside FOV
     point_cols: np.ndarray   # (N,) col of every scan point, -1 outside FOV
@@ -66,47 +63,8 @@ class GroundModel:
     footprint: float
 
 
-@njit(cache=True)
-def _project_kernel(xyz, rows, cols, fov_up_deg, fov_down_deg):
-    n = xyz.shape[0]
-    ranges_img = np.zeros((rows, cols), dtype=np.float64)
-    index_img = np.full((rows, cols), -1, dtype=np.int64)
-    prow = np.full(n, -1, dtype=np.int64)
-    pcol = np.full(n, -1, dtype=np.int64)
-    span = fov_up_deg - fov_down_deg
-    for i in range(n):
-        x, y, z = xyz[i, 0], xyz[i, 1], xyz[i, 2]
-        r = math.sqrt(x * x + y * y + z * z)
-        if r <= 1e-9:
-            continue
-        s = z / r
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        elev = math.degrees(math.asin(s))
-        row = int(math.floor((elev - fov_down_deg) / span * rows))
-        if row == rows:
-            row = rows - 1  # elevation exactly at the top edge
-        if row < 0 or row >= rows:
-            continue
-        col = int(math.floor((math.atan2(y, x) + math.pi)
-                             / (2.0 * math.pi) * cols))
-        if col < 0:
-            col = 0
-        elif col >= cols:
-            col = cols - 1
-        prow[i] = row
-        pcol[i] = col
-        if index_img[row, col] < 0 or r < ranges_img[row, col]:
-            ranges_img[row, col] = r
-            index_img[row, col] = i
-    return ranges_img, index_img, prow, pcol
-
-
 def _project_numpy(xyz, rows, cols, fov_up_deg, fov_down_deg):
     n = len(xyz)
-    ranges_img = np.zeros((rows, cols), dtype=np.float64)
     index_img = np.full((rows, cols), -1, dtype=np.int64)
     prow = np.full(n, -1, dtype=np.int64)
     pcol = np.full(n, -1, dtype=np.int64)
@@ -128,12 +86,11 @@ def _project_numpy(xyz, rows, cols, fov_up_deg, fov_down_deg):
     pcol[valid] = col[valid]
 
     # write far points first so the nearest survives; on exact range ties the
-    # lowest point index wins, matching the sequential kernel
+    # lowest point index wins
     vidx = np.nonzero(valid)[0]
     order = vidx[np.lexsort((-vidx, -r[vidx]))]
-    ranges_img[row[order], col[order]] = r[order]
     index_img[row[order], col[order]] = order
-    return ranges_img, index_img, prow, pcol
+    return index_img, prow, pcol
 
 
 def build_range_image(scan: PointCloud, rows: int, cols: int,
@@ -142,44 +99,8 @@ def build_range_image(scan: PointCloud, rows: int, cols: int,
     """Spherical projection; on cell collisions the nearer point wins."""
     if rows < 2 or cols < 2:
         raise ValueError("range image needs rows, cols >= 2")
-    xyz = np.ascontiguousarray(scan.xyz)
-    if len(xyz) == 0:
-        return RangeImage(np.zeros((rows, cols)),
-                          np.full((rows, cols), -1, dtype=np.int64),
-                          np.full(0, -1, dtype=np.int64),
-                          np.full(0, -1, dtype=np.int64))
-    project = _project_kernel if HAVE_NUMBA else _project_numpy
-    return RangeImage(*project(xyz, rows, cols,
-                               float(fov_up_deg), float(fov_down_deg)))
-
-
-@njit(cache=True)
-def _walk_kernel(index_img, xyz, tan_thr):
-    rows, cols = index_img.shape
-    cand = np.zeros((rows, cols), dtype=np.bool_)
-    for c in range(cols):
-        prev = -1
-        prev_row = -1
-        bottom_row = -1
-        for row in range(rows):
-            i = index_img[row, c]
-            if i < 0:
-                continue
-            if prev < 0:
-                bottom_row = row
-            else:
-                dz = abs(xyz[i, 2] - xyz[prev, 2])
-                dx = xyz[i, 0] - xyz[prev, 0]
-                dy = xyz[i, 1] - xyz[prev, 1]
-                if dz < tan_thr * math.hypot(dx, dy):
-                    cand[row, c] = True
-                    if prev_row == bottom_row:
-                        cand[bottom_row, c] = True
-                else:
-                    break  # once exceeded, nothing above may be marked
-            prev = i
-            prev_row = row
-    return cand
+    return RangeImage(*_project_numpy(scan.xyz, rows, cols,
+                                      float(fov_up_deg), float(fov_down_deg)))
 
 
 def _walk_numpy(index_img, xyz, tan_thr):
@@ -234,9 +155,8 @@ def extract_candidates(img: RangeImage, scan: PointCloud,
     mask = np.zeros(n, dtype=bool)
     if n == 0 or not (img.point_index >= 0).any():
         return mask
-    walk = _walk_kernel if HAVE_NUMBA else _walk_numpy
-    cand = walk(img.point_index, np.ascontiguousarray(scan.xyz),
-                math.tan(math.radians(angle_threshold_deg)))
+    cand = _walk_numpy(img.point_index, scan.xyz,
+                       math.tan(math.radians(angle_threshold_deg)))
     in_img = img.point_rows >= 0
     mask[in_img] = cand[img.point_rows[in_img], img.point_cols[in_img]]
     return mask
@@ -354,12 +274,6 @@ def fit_ground_model(scan: PointCloud, candidates: np.ndarray,
                                cfg.sectors_x, cfg.sectors_y, cfg.footprint)
 
 
-def refine_pca(scan: PointCloud, candidates: np.ndarray, cfg: GroundSegConfig):
-    """Refine candidates into final (G, U) clouds; G u U partitions the scan."""
-    ground_mask, _ = fit_ground_model(scan, candidates, cfg)
-    return scan.select(ground_mask), scan.select(~ground_mask)
-
-
 def segment_ground_mask(scan: PointCloud, cfg: GroundSegConfig) -> np.ndarray:
     """Boolean ground mask over the scan (full two-step segmentation)."""
     if len(scan) == 0:
@@ -369,18 +283,3 @@ def segment_ground_mask(scan: PointCloud, cfg: GroundSegConfig) -> np.ndarray:
     cand = extract_candidates(img, scan, cfg.angle_threshold_deg)
     ground_mask, _ = fit_ground_model(scan, cand, cfg)
     return ground_mask
-
-
-def segment_ground(scan: PointCloud, cfg: GroundSegConfig = None):
-    """Split a scan into (G, U); every point lands in exactly one side."""
-    cfg = cfg or GroundSegConfig()
-    mask = segment_ground_mask(scan, cfg)
-    return scan.select(mask), scan.select(~mask)
-
-
-def warmup_kernels():
-    """Trigger JIT compilation outside any timed section (no-op without numba)."""
-    if HAVE_NUMBA:
-        pts = np.array([[5.0, 0.0, -1.0], [6.0, 0.1, -1.0], [6.0, 0.1, 1.0]])
-        _, index_img, _, _ = _project_kernel(pts, 4, 4, 2.0, -24.8)
-        _walk_kernel(index_img, pts, 0.18)

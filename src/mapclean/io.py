@@ -201,6 +201,7 @@ def range_mask(xyz: np.ndarray, min_range: float, max_range: float) -> np.ndarra
 # map output: PCD v0.7 and binary PLY
 
 MAP_FORMATS = ("ascii-pcd", "binary-pcd", "ply")
+ASCII_CHUNK_ROWS = 65536   # rows formatted by one % operation
 
 
 def _pcd_header(n, with_intensity, data):
@@ -234,10 +235,12 @@ def write_map(path, cloud: PointCloud, format: str = "ascii-pcd") -> None:
         cols = np.column_stack([cols, np.asarray(cloud.intensity, dtype=np.float32)])
     try:
         if format == "ascii-pcd":
+            line = " ".join(["%.9g"] * cols.shape[1]) + "\n"
             with open(path, "w") as fh:
                 fh.write(_pcd_header(n, with_int, "ascii"))
-                for row in cols:
-                    fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+                for lo in range(0, n, ASCII_CHUNK_ROWS):
+                    chunk = cols[lo:lo + ASCII_CHUNK_ROWS]
+                    fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
         elif format == "binary-pcd":
             with open(path, "wb") as fh:
                 fh.write(_pcd_header(n, with_int, "binary").encode("ascii"))
@@ -265,25 +268,68 @@ def read_map(path) -> PointCloud:
     return _read_pcd(path)
 
 
+def _read_header(fh, path, last: str) -> list:
+    """Stripped header lines up to and including the first whose keyword is `last`."""
+    lines = []
+    while True:
+        raw = fh.readline()
+        if not raw:
+            raise ParseError(f"{path}: file ends inside the header, before {last!r}")
+        try:
+            line = raw.decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: header line {len(lines) + 1} is not ascii") from None
+        lines.append(line)
+        if line.partition(" ")[0] == last:
+            return lines
+
+
+def _point_count(value: str, path, what: str) -> int:
+    if not value.isdigit():  # the header is ascii, so only 0-9 pass
+        raise ParseError(f"{path}: {what} {value!r} is not a point count")
+    return int(value)
+
+
+def _check_xyz(fields: list, path) -> None:
+    if fields[:3] != ["x", "y", "z"]:
+        raise ParseError(f"{path}: fields {fields} do not start with x y z")
+
+
+def _read_binary(fh, path, n: int, k: int) -> np.ndarray:
+    want = 4 * k * n
+    body = fh.read(want)
+    if len(body) < want:
+        raise ParseError(f"{path}: binary body holds {len(body)} bytes, "
+                         f"{want} expected for {n} points of {k} fields")
+    return np.frombuffer(body, dtype="<f4").reshape(n, k)
+
+
 def _read_pcd(path) -> PointCloud:
     with open(path, "rb") as fh:
         header = {}
-        while True:
-            line = fh.readline().decode("ascii").strip()
-            if line.startswith("#"):
-                continue
-            key, _, rest = line.partition(" ")
-            header[key] = rest
-            if key == "DATA":
-                break
+        for line in _read_header(fh, path, "DATA"):
+            if not line.startswith("#"):
+                key, _, rest = line.partition(" ")
+                header[key] = rest
+        if "POINTS" not in header:
+            raise ParseError(f"{path}: PCD header has no POINTS line")
         fields = header.get("FIELDS", "x y z").split()
-        n = int(header["POINTS"])
+        _check_xyz(fields, path)
+        n = _point_count(header["POINTS"], path, "POINTS")
         k = len(fields)
         if header["DATA"] == "ascii":
-            arr = np.loadtxt(fh, dtype=np.float32, ndmin=2) if n else np.zeros((0, k), np.float32)
+            try:
+                arr = (np.loadtxt(fh, dtype=np.float32, ndmin=2) if n
+                       else np.zeros((0, k), np.float32))
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}") from None
+            if arr.shape != (n, k):
+                raise ParseError(f"{path}: ascii body holds {arr.shape[0]} rows of "
+                                 f"{arr.shape[1]} values, {n} rows of {k} expected")
+        elif header["DATA"] == "binary":
+            arr = _read_binary(fh, path, n, k)
         else:
-            arr = np.frombuffer(fh.read(4 * k * n), dtype="<f4").reshape(n, k)
-    arr = arr.reshape(n, k)
+            raise ParseError(f"{path}: unsupported PCD DATA {header['DATA']!r}")
     intensity = arr[:, 3].copy() if "intensity" in fields else None
     return PointCloud(arr[:, :3].astype(np.float64), intensity=intensity)
 
@@ -292,16 +338,13 @@ def _read_ply(path) -> PointCloud:
     with open(path, "rb") as fh:
         n = 0
         props = []
-        while True:
-            line = fh.readline().decode("ascii").strip()
+        for line in _read_header(fh, path, "end_header"):
             if line.startswith("element vertex"):
-                n = int(line.split()[-1])
+                n = _point_count(line.split()[-1], path, "element vertex")
             elif line.startswith("property"):
                 props.append(line.split()[-1])
-            elif line == "end_header":
-                break
-        k = len(props)
-        arr = np.frombuffer(fh.read(4 * k * n), dtype="<f4").reshape(n, k)
+        _check_xyz(props, path)
+        arr = _read_binary(fh, path, n, len(props))
     intensity = arr[:, props.index("intensity")].copy() if "intensity" in props else None
     return PointCloud(arr[:, :3].astype(np.float64), intensity=intensity)
 

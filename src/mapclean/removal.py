@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
-from .ground import GroundSegConfig, segment_ground_mask, warmup_kernels
+from .errors import ContractError, is_integer, is_number
+from .ground import GroundSegConfig, segment_ground_mask
 from .io import PointCloud, Pose
 from .voxmap import (DYNAMIC, GROUND, NONGROUND, MapState, cells_in_range,
                      pack_keys, unpack_keys, voxel_keys)
@@ -34,8 +34,12 @@ class RemovalConfig:
     vertical_range: float = 3.0  # meters searched along the z-column
 
     def __post_init__(self):
-        if self.tau_ret < 1 or self.tau_res < 1 or self.vertical_range <= 0:
-            raise ContractError("tau_ret, tau_res >= 1 and vertical_range > 0 required")
+        if not (is_integer(self.tau_ret) and is_integer(self.tau_res)
+                and is_number(self.vertical_range)
+                and self.tau_ret >= 1 and self.tau_res >= 1 and self.vertical_range > 0):
+            raise ContractError(
+                "integer tau_ret, tau_res >= 1 and numeric vertical_range > 0 required, "
+                f"got {self.tau_ret!r}, {self.tau_res!r}, {self.vertical_range!r}")
 
 
 def _no_keys():
@@ -188,7 +192,6 @@ class OnlinePipeline:
         self.ground_cfg = ground_cfg or GroundSegConfig()
         self.reports = []
         self.restored_ever = set()   # packed keys
-        warmup_kernels()  # JIT cost must not land in the first frame's timing
 
     def process(self, scan: PointCloud, pose: Pose, f: int,
                 ground_mask: np.ndarray = None) -> FrameReport:

@@ -173,6 +173,19 @@ def test_eval_missing_labels_exit_2(tmp_path, appear_seq):
     assert rc == 2
 
 
+@pytest.mark.parametrize("body", [b"", b"ply\nelement vertex 3\nproperty float x\n"],
+                         ids=["empty-pcd", "ply-without-end-header"])
+def test_eval_malformed_map_exit_2(tmp_path, appear_seq, capsys, body):
+    cfg = write_cfg(tmp_path, APPEAR_CFG)
+    clean = tmp_path / "clean.pcd"
+    clean.write_bytes(body)
+    rc = main(["eval", str(appear_seq / "velodyne"), str(appear_seq / "poses.txt"),
+               str(appear_seq / "labels"), str(clean), "--config", str(cfg), "--end", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "clean.pcd" in err and "Traceback" not in err
+
+
 # -- bench ---------------------------------------------------------------------
 
 def test_bench_csv_schema(tmp_path, crossing_seq, capsys):
@@ -221,6 +234,36 @@ def test_config_unknown_key_rejected():
         config_from_dict({"removal": {"tau_rett": 7}})
     with pytest.raises(ContractError, match="unknown"):
         config_from_dict({"wibble": {}})
+
+
+BAD_VALUES = [
+    {"removal": {"tau_ret": "7"}},
+    {"removal": {"tau_ret": 2.5}},
+    {"removal": {"tau_res": 7.5}},
+    {"removal": {"tau_ret": True}},
+    {"removal": {"vertical_range": "3"}},
+    {"voxel_size": "abc"},
+    {"voxel_size": "0.2"},
+    {"voxel_size": 0},
+    {"voxel_size": -0.2},
+    {"voxel_size": float("nan")},
+    {"ground": {"rows": 1}},
+    {"ground": {"cols": 0}},
+    {"ground": {"rows": 32.0}},
+    {"ground": {"cols": "2048"}},
+    {"frames": {"start": -1}},
+    {"frames": {"end": "3"}},
+]
+
+
+@pytest.mark.parametrize("data", BAD_VALUES, ids=repr)
+def test_config_bad_value_is_contract_error(data):
+    with pytest.raises(ContractError):
+        config_from_dict(data)
+
+
+def test_config_integer_voxel_size_accepted():
+    assert config_from_dict({"voxel_size": 1}).voxel_size == 1.0
 
 
 def test_config_defaults():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from mapclean.ground import (GroundSegConfig, build_range_image,
-                             extract_candidates, fit_ground_model, refine_pca,
-                             segment_ground, segment_ground_mask)
+from mapclean.ground import (GroundSegConfig, _project_numpy, _walk_numpy,
+                             build_range_image, extract_candidates,
+                             fit_ground_model, segment_ground_mask)
 from mapclean.io import PointCloud
 from mapclean.simulate import (Box, GroundPlane, Scenario, SensorModel,
                                ground_cfg_for, render_sequence)
@@ -25,6 +27,151 @@ def street_frame():
     return sc, render_sequence(sc)[0]
 
 
+def wall_scene():
+    """A ground strip inside the vertical FOV plus a vertical wall behind it."""
+    y = np.linspace(-1.5, 1.5, 40)
+    gx = np.linspace(4.0, 12.0, 24)
+    ground = np.array([[x, yy, -1.7] for x in gx for yy in y])
+    wall_z = np.linspace(-1.5, 1.5, 30)
+    wall = np.array([[13.0, yy, zz] for yy in y for zz in wall_z])
+    return ground, wall, wall_z
+
+
+def refine(cloud, candidates, cfg):
+    """(ground, non-ground) clouds from the plane fit over the given candidates."""
+    mask, _ = fit_ground_model(cloud, candidates, cfg)
+    return cloud.select(mask), cloud.select(~mask)
+
+
+# -- sequential reference ----------------------------------------------------
+# Plain per-point and per-cell loops that define the semantics the vectorised
+# kernels in mapclean.ground must reproduce entry for entry.
+
+def _project_reference(xyz, rows, cols, fov_up_deg, fov_down_deg):
+    n = xyz.shape[0]
+    ranges_img = np.zeros((rows, cols), dtype=np.float64)
+    index_img = np.full((rows, cols), -1, dtype=np.int64)
+    prow = np.full(n, -1, dtype=np.int64)
+    pcol = np.full(n, -1, dtype=np.int64)
+    span = fov_up_deg - fov_down_deg
+    for i in range(n):
+        x, y, z = xyz[i, 0], xyz[i, 1], xyz[i, 2]
+        r = math.sqrt(x * x + y * y + z * z)
+        if r <= 1e-9:
+            continue
+        s = z / r
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        elev = math.degrees(math.asin(s))
+        row = int(math.floor((elev - fov_down_deg) / span * rows))
+        if row == rows:
+            row = rows - 1  # elevation exactly at the top edge
+        if row < 0 or row >= rows:
+            continue
+        col = int(math.floor((math.atan2(y, x) + math.pi)
+                             / (2.0 * math.pi) * cols))
+        if col < 0:
+            col = 0
+        elif col >= cols:
+            col = cols - 1
+        prow[i] = row
+        pcol[i] = col
+        if index_img[row, col] < 0 or r < ranges_img[row, col]:
+            ranges_img[row, col] = r
+            index_img[row, col] = i
+    return ranges_img, index_img, prow, pcol
+
+
+def _walk_reference(index_img, xyz, tan_thr):
+    rows, cols = index_img.shape
+    cand = np.zeros((rows, cols), dtype=np.bool_)
+    for c in range(cols):
+        prev = -1
+        prev_row = -1
+        bottom_row = -1
+        for row in range(rows):
+            i = index_img[row, c]
+            if i < 0:
+                continue
+            if prev < 0:
+                bottom_row = row
+            else:
+                dz = abs(xyz[i, 2] - xyz[prev, 2])
+                dx = xyz[i, 0] - xyz[prev, 0]
+                dy = xyz[i, 1] - xyz[prev, 1]
+                if dz < tan_thr * math.hypot(dx, dy):
+                    cand[row, c] = True
+                    if prev_row == bottom_row:
+                        cand[bottom_row, c] = True
+                else:
+                    break  # once exceeded, nothing above may be marked
+            prev = i
+            prev_row = row
+    return cand
+
+
+def _tied_ranges_scan():
+    """Exact range ties inside one cell of a coarse 24x8 image.
+
+    (8, 1), (7, 4), (4, 7) and (1, 8) share x^2 + y^2 = 65 exactly; the first
+    two fall in one azimuth cell and the last two in the next. Duplicates,
+    the origin and a nearer point in the same direction come along.
+    """
+    tied = np.array([[8.0, 1.0, -1.0], [7.0, 4.0, -1.0], [4.0, 7.0, -1.0],
+                     [1.0, 8.0, -1.0]])
+    column = np.array([[8.0, 1.0, -1.6], [8.0, 1.0, -0.5], [8.0, 1.0, 0.1],
+                       [4.0, 0.5, -0.5], [0.0, 0.0, 0.0]])
+    return np.vstack([tied, column, tied[::-1], tied])
+
+
+def _exact_steps_scan():
+    """One image column (y = 0): a flat step, then one rising exactly 45 degrees."""
+    return np.array([[4.0, 0.0, -1.7], [6.0, 0.0, -1.7], [7.0, 0.0, -0.7]])
+
+
+def _sparse_columns_scan():
+    """Most image columns empty, some with a single return."""
+    sc, frame = street_frame()
+    az = np.arctan2(frame.scan.xyz[:, 1], frame.scan.xyz[:, 0])
+    lone = np.radians([-150.0, -100.0, -45.0, 120.0])
+    singles = np.column_stack([10 * np.cos(lone), 10 * np.sin(lone), np.full(4, -1.7)])
+    return np.vstack([frame.scan.xyz[(az > 0.3) & (az < 0.9)], singles])
+
+
+REFERENCE_CASES = {
+    "street": (lambda: street_frame()[1].scan.xyz, 24, 160),
+    "wall": (lambda: np.vstack(wall_scene()[:2]), 32, 180),
+    "ties": (_tied_ranges_scan, 24, 8),
+    "steps": (_exact_steps_scan, 24, 160),
+    "sparse": (_sparse_columns_scan, 24, 160),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_kernels_match_sequential_reference(case):
+    make, rows, cols = REFERENCE_CASES[case]
+    xyz = make()
+    ref = _project_reference(xyz, rows, cols, 2.0, -24.8)
+    got = _project_numpy(xyz, rows, cols, 2.0, -24.8)
+    for want, have in zip(ref[1:], got):
+        np.testing.assert_array_equal(have, want)
+    index_img = ref[1]
+    per_col = (index_img >= 0).sum(axis=0)
+    if case == "sparse":
+        assert (per_col == 0).sum() > cols // 2 and (per_col == 1).any()
+    if case == "ties":  # the lowest index of a tie wins its cell
+        prow, pcol = ref[2], ref[3]
+        assert pcol[0] == pcol[1] != pcol[2] == pcol[3] and len(set(prow[:4])) == 1
+        assert index_img[prow[0], pcol[0]] == 7  # the nearer point, same direction
+        assert index_img[prow[2], pcol[2]] == 2
+    # tan_thr 1.0 puts the 45-degree step exactly on the threshold
+    for tan_thr in (math.tan(math.radians(2.0)), math.tan(math.radians(10.0)), 1.0):
+        np.testing.assert_array_equal(_walk_numpy(index_img, xyz, tan_thr),
+                                      _walk_reference(index_img, xyz, tan_thr))
+
+
 # -- range image -------------------------------------------------------------
 
 def test_range_image_single_point():
@@ -32,7 +179,8 @@ def test_range_image_single_point():
     img = build_range_image(cloud, 16, 32)
     occupied = img.point_index >= 0
     assert occupied.sum() == 1
-    assert img.ranges[occupied][0] == pytest.approx(10.0)
+    assert img.point_index[occupied][0] == 0
+    assert img.point_rows[0] >= 0 and img.point_cols[0] >= 0
 
 
 def test_range_image_near_point_wins():
@@ -41,15 +189,18 @@ def test_range_image_near_point_wins():
     img = build_range_image(cloud, 16, 32)
     occupied = img.point_index >= 0
     assert occupied.sum() == 1
-    assert img.ranges[occupied][0] == pytest.approx(5.0)
+    assert img.point_index[occupied][0] == 0
 
 
 def test_range_image_cell_range_matches_norm():
     sc, frame = street_frame()
     img = build_range_image(frame.scan, 24, 160)
-    occ = img.point_index >= 0
-    norms = np.linalg.norm(frame.scan.xyz[img.point_index[occ]], axis=1)
-    assert np.abs(img.ranges[occ] - norms).max() <= 1e-4
+    # every in-FOV point's cell holds a point at least as near as it
+    norms = np.linalg.norm(frame.scan.xyz, axis=1)
+    inside = np.nonzero(img.point_rows >= 0)[0]
+    owner = img.point_index[img.point_rows[inside], img.point_cols[inside]]
+    assert (owner >= 0).all()
+    assert (norms[owner] <= norms[inside]).all()
 
 
 def test_range_image_point_in_at_most_one_cell():
@@ -91,12 +242,7 @@ def test_candidates_flat_ground_bottom_cells():
 
 
 def test_candidates_wall_excluded():
-    # ground strip (inside the vertical FOV) plus a vertical wall behind it
-    y = np.linspace(-1.5, 1.5, 40)
-    gx = np.linspace(4.0, 12.0, 24)
-    ground = np.array([[x, yy, -1.7] for x in gx for yy in y])
-    wall_z = np.linspace(-1.5, 1.5, 30)
-    wall = np.array([[13.0, yy, zz] for yy in y for zz in wall_z])
+    ground, wall, wall_z = wall_scene()
     cloud = PointCloud(np.vstack([ground, wall]))
     img = build_range_image(cloud, 32, 180)
     cand = extract_candidates(img, cloud, 10.0)
@@ -126,7 +272,7 @@ def test_refine_exact_plane_keeps_everything():
                            rng.uniform(-20, 20, 500),
                            np.zeros(500)])
     cloud = PointCloud(pts)
-    g, u = refine_pca(cloud, np.ones(500, dtype=bool), GroundSegConfig())
+    g, u = refine(cloud, np.ones(500, dtype=bool), GroundSegConfig())
     assert len(g) == 500
     assert len(u) == 0
 
@@ -138,7 +284,7 @@ def test_refine_excludes_outlier():
                            np.zeros(400)])
     pts = np.vstack([pts, [[1.0, 1.0, 5.0]]])
     cloud = PointCloud(pts)
-    g, u = refine_pca(cloud, np.ones(401, dtype=bool), GroundSegConfig())
+    g, u = refine(cloud, np.ones(401, dtype=bool), GroundSegConfig())
     assert len(u) == 1
     assert u.xyz[0, 2] == pytest.approx(5.0)
 
@@ -146,7 +292,7 @@ def test_refine_excludes_outlier():
 def test_refine_degenerate_collinear_is_no_ground():
     pts = np.column_stack([np.linspace(0, 10, 50), np.zeros(50), np.zeros(50)])
     cloud = PointCloud(pts)
-    g, u = refine_pca(cloud, np.ones(50, dtype=bool), GroundSegConfig())
+    g, u = refine(cloud, np.ones(50, dtype=bool), GroundSegConfig())
     assert len(g) == 0
 
 
@@ -189,8 +335,8 @@ def test_ground_points_respect_sector_planes():
 # -- full segmentation -------------------------------------------------------
 
 def test_segment_empty_scan():
-    g, u = segment_ground(PointCloud(np.zeros((0, 3))), GroundSegConfig())
-    assert len(g) == 0 and len(u) == 0
+    mask = segment_ground_mask(PointCloud(np.zeros((0, 3))), GroundSegConfig())
+    assert mask.dtype == bool and mask.shape == (0,)
 
 
 def test_segment_all_wall_scan():
@@ -198,9 +344,9 @@ def test_segment_all_wall_scan():
     z = np.linspace(-1.5, 1.5, 40)
     wall = np.array([[6.0, yy, zz] for yy in y for zz in z])
     cloud = PointCloud(wall)
-    g, u = segment_ground(cloud, GroundSegConfig(rows=32, cols=180))
-    assert len(g) == 0
-    assert len(u) == len(cloud)
+    mask = segment_ground_mask(cloud, GroundSegConfig(rows=32, cols=180))
+    assert mask.shape == (len(cloud),)
+    assert not mask.any()
 
 
 def test_segment_street_f1():
@@ -216,7 +362,9 @@ def test_segment_street_f1():
 
 def test_segment_is_partition():
     sc, frame = street_frame()
-    g, u = segment_ground(frame.scan, ground_cfg_for(sc))
+    mask = segment_ground_mask(frame.scan, ground_cfg_for(sc))
+    assert mask.dtype == bool and mask.shape == (len(frame.scan),)
+    g, u = frame.scan.select(mask), frame.scan.select(~mask)
     assert len(g) + len(u) == len(frame.scan)
 
 
@@ -226,19 +374,3 @@ def test_segment_deterministic():
     m1 = segment_ground_mask(frame.scan, cfg)
     m2 = segment_ground_mask(frame.scan, cfg)
     np.testing.assert_array_equal(m1, m2)
-
-
-@pytest.mark.skipif(not __import__("mapclean.ground", fromlist=["HAVE_NUMBA"]).HAVE_NUMBA,
-                    reason="numba unavailable")
-def test_jit_kernels_match_numpy_fallbacks():
-    from mapclean.ground import (_project_kernel, _project_numpy,
-                                 _walk_kernel, _walk_numpy)
-    sc, frame = street_frame()
-    xyz = np.ascontiguousarray(frame.scan.xyz)
-    a = _project_kernel(xyz, 24, 160, 2.0, -24.8)
-    b = _project_numpy(xyz, 24, 160, 2.0, -24.8)
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
-    tan_thr = np.tan(np.radians(10.0))
-    np.testing.assert_array_equal(_walk_kernel(a[1], xyz, tan_thr),
-                                  _walk_numpy(a[1], xyz, tan_thr))

@@ -1,8 +1,11 @@
+import signal
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from mapclean import io as mio
 from mapclean.errors import ContractError, ParseError
 from mapclean.io import (PointCloud, Pose, attach_labels, orthonormalize,
                          range_mask, read_labels, read_map, read_poses,
@@ -219,3 +222,70 @@ def test_write_map_roundtrip_10k(tmp_path, fmt):
 def test_write_map_unknown_format(tmp_path):
     with pytest.raises(ContractError):
         write_map(tmp_path / "x", PointCloud(np.zeros((1, 3))), "xyz")
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_write_map_ascii_matches_per_row_formatting(tmp_path, monkeypatch, k):
+    # the chunked writer against the per-value formatting it replaced, over
+    # a chunk size that leaves a partial last chunk
+    monkeypatch.setattr(mio, "ASCII_CHUNK_ROWS", 4)
+    tricky = np.array([-0.0, 0.0, 1e-45, -1e-45, 1.2e-38, 3.4e38, -3.4e38, 1e-30,
+                       1e20, 123456.789, -0.1, 1.0 / 3.0, np.inf, -np.inf, np.nan],
+                      dtype=np.float32)
+    rng = np.random.default_rng(3)
+    vals = np.concatenate([tricky, rng.standard_normal(30).astype(np.float32)
+                           * np.float32(10.0) ** rng.integers(-20, 20, 30)])
+    vals = np.resize(vals, (11, k)).astype(np.float32)
+    cloud = PointCloud(vals[:, :3], intensity=vals[:, 3] if k == 4 else None)
+    path = tmp_path / "map.pcd"
+    write_map(path, cloud, "ascii-pcd")
+    header = mio._pcd_header(len(vals), k == 4, "ascii")
+    body = "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in vals)
+    assert path.read_bytes() == (header + body).encode("ascii")
+
+
+# -- map readers on malformed files ------------------------------------------
+
+@contextmanager
+def ends_within(seconds):
+    """Fail instead of hanging when a reader loops."""
+    def expire(*_):
+        raise TimeoutError(f"did not end within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+PCD_HEAD = ("VERSION 0.7\nFIELDS x y z\nSIZE 4 4 4\nTYPE F F F\nCOUNT 1 1 1\n"
+            "WIDTH 2\nHEIGHT 1\n")
+PLY_HEAD = ("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n")
+TWO_POINTS = np.arange(6, dtype="<f4").tobytes()
+
+MALFORMED_MAPS = {
+    "pcd-empty-file": b"",
+    "pcd-header-without-data": (PCD_HEAD + "POINTS 2\n").encode(),
+    "pcd-no-points-line": (PCD_HEAD + "DATA binary\n").encode() + TWO_POINTS,
+    "pcd-bad-points-count": (PCD_HEAD + "POINTS two\nDATA binary\n").encode(),
+    "pcd-short-binary-body": (PCD_HEAD + "POINTS 2\nDATA binary\n").encode()
+                             + TWO_POINTS[:-1],
+    "pcd-short-ascii-body": (PCD_HEAD + "POINTS 2\nDATA ascii\n1 2 3\n").encode(),
+    "pcd-non-ascii-header": b"\xff\xfe\n",
+    "pcd-fields-without-z": b"FIELDS x y\nPOINTS 2\nDATA binary\n" + TWO_POINTS[:16],
+    "pcd-compressed-data": (PCD_HEAD + "POINTS 2\nDATA binary_compressed\n").encode()
+                           + TWO_POINTS,
+    "ply-no-end-header": PLY_HEAD.encode(),
+    "ply-short-binary-body": (PLY_HEAD + "end_header\n").encode() + TWO_POINTS[:-4],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+def test_read_map_malformed_raises_parse_error(tmp_path, case):
+    path = tmp_path / "map.out"
+    path.write_bytes(MALFORMED_MAPS[case])
+    with ends_within(5), pytest.raises(ParseError, match="map.out"):
+        read_map(path)

@@ -2,8 +2,11 @@
 
 Hypothesis draws random scenes (static boxes, movers with their own
 visibility windows, ground slope, sensor motion, range noise) and random
-thresholds and voxel sizes. Ground comes from the simulator labels, so any
-difference is the map store's or the rules', not segmentation's. The
+thresholds and voxel sizes. The ground source is drawn too: the simulator
+labels, so any difference is the map store's or the rules', not
+segmentation's; or the pipeline's own segmentation, which the oracle then
+runs too, so the two agree only if segmentation feeds the map the same way
+in both. The rules run on every example, whichever the ground source. The
 example budget is fixed and derandomised by the profile in conftest.py.
 """
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from mapclean.removal import OnlinePipeline, RemovalConfig
 from mapclean.simulate import (Box, DynamicObject, GroundPlane, Scenario,
-                               SensorModel, ground_mask_from_labels,
+                               SensorModel, ground_cfg_for, ground_mask_from_labels,
                                oracle_classify, render_sequence)
 
 
@@ -59,12 +62,16 @@ def scenes(draw):
 
 @given(scene=scenes(), tau_ret=st.integers(1, 8), tau_res=st.integers(1, 20),
        voxel_size=st.sampled_from([0.15, 0.2, 0.3, 0.5]),
-       vertical_range=st.sampled_from([0.5, 1.0, 3.0]))
+       vertical_range=st.sampled_from([0.5, 1.0, 3.0]), label_ground=st.booleans())
 def test_pipeline_matches_oracle_on_random_scenes(scene, tau_ret, tau_res, voxel_size,
-                                                  vertical_range):
+                                                  vertical_range, label_ground):
     frames = render_sequence(scene)
     cfg = RemovalConfig(tau_ret=tau_ret, tau_res=tau_res, vertical_range=vertical_range)
-    pipe = OnlinePipeline(voxel_size=voxel_size, removal_cfg=cfg)
+    ground_cfg = ground_cfg_for(scene)
+    pipe = OnlinePipeline(voxel_size=voxel_size, removal_cfg=cfg, ground_cfg=ground_cfg)
     for f, fr in enumerate(frames):
-        pipe.process(fr.scan, fr.pose, f, ground_mask=ground_mask_from_labels(fr.labels))
-    assert pipe.classification() == oracle_classify(frames, cfg, voxel_size=voxel_size)
+        pipe.process(fr.scan, fr.pose, f,
+                     ground_mask=ground_mask_from_labels(fr.labels) if label_ground else None)
+    assert pipe.classification() == oracle_classify(
+        frames, cfg, voxel_size=voxel_size, ground_truth_segmentation=label_ground,
+        ground_cfg=ground_cfg)
