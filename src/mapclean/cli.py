@@ -97,13 +97,13 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
+    clean = mio.read_map(args.clean_map)   # a bad map fails before any scan is read
     clouds = []
     for f, cloud, pose in _iter_sequence(cfg, args, label_dir=args.label_dir):
         clouds.append(mio.transform_to_world(cloud, pose))
     static_gt, dynamic_gt = build_ground_truth(
         clouds, moving_classes=set(cfg.eval.moving_classes),
         voxel_size=cfg.eval.voxel_size)
-    clean = mio.read_map(args.clean_map)
     report = score(clean, static_gt, dynamic_gt, voxel_size=cfg.eval.voxel_size)
     print(f"PR[%]/RR[%]/F1: {report.triple()}")
     print(f"static voxels: {report.static_voxels_preserved}/{report.static_voxels_total} preserved")

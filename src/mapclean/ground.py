@@ -7,8 +7,14 @@ consecutive returns stays shallow. Step two fits a plane per x-y sector to
 the surviving candidates (seeded from the lowest points, iterated with an
 inlier threshold) and keeps candidates close to their sector plane.
 
-The projection and the walk are vectorised numpy; tests/test_ground.py
-keeps the per-point and per-cell loops they must match entry for entry.
+Each step is a few whole-scan numpy passes over 1-D arrays: the projection
+takes the nearest point per cell with two `minimum.at` passes (range, then
+the lowest index among tied ranges); the walk takes the occupied cells in
+column-major order, so each cell's predecessor is the cell below it, and
+keeps a running count of steep steps per column; the fit sorts the
+candidates by sector once and fits each sector's plane on a gathered
+subsample. tests/test_ground.py keeps the per-point and per-cell loops and
+the plain per-sector fit that the kernels must match entry for entry.
 """
 
 from __future__ import annotations
@@ -42,13 +48,17 @@ class GroundSegConfig:
         if not all(is_integer(v) and v >= 2 for v in (self.rows, self.cols)):
             raise ContractError(
                 f"rows and cols must be integers >= 2, got {self.rows!r}, {self.cols!r}")
+        # a plane is seeded from at least three points
+        if not (is_integer(self.min_sector_candidates) and self.min_sector_candidates >= 3):
+            raise ContractError("min_sector_candidates must be an integer >= 3, "
+                                f"got {self.min_sector_candidates!r}")
 
 
 @dataclass
 class RangeImage:
-    point_index: np.ndarray  # (rows, cols) int64, -1 where empty
-    point_rows: np.ndarray   # (N,) row of every scan point, -1 outside FOV
-    point_cols: np.ndarray   # (N,) col of every scan point, -1 outside FOV
+    point_index: np.ndarray  # (rows, cols) int32, -1 where empty
+    point_rows: np.ndarray   # (N,) int32 row of every scan point, -1 outside FOV
+    point_cols: np.ndarray   # (N,) int32 col of every scan point, -1 outside FOV
 
 
 @dataclass
@@ -65,32 +75,51 @@ class GroundModel:
 
 def _project_numpy(xyz, rows, cols, fov_up_deg, fov_down_deg):
     n = len(xyz)
-    index_img = np.full((rows, cols), -1, dtype=np.int64)
-    prow = np.full(n, -1, dtype=np.int64)
-    pcol = np.full(n, -1, dtype=np.int64)
-
-    r = np.linalg.norm(xyz, axis=1)
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    r = x * x
+    r += y * y
+    r += z * z
+    np.sqrt(r, out=r)    # bit-identical to np.linalg.norm(xyz, axis=1)
     ok = r > 1e-9
-    elev = np.zeros(n)
-    elev[ok] = np.degrees(np.arcsin(np.clip(xyz[ok, 2] / r[ok], -1.0, 1.0)))
-    az = np.arctan2(xyz[:, 1], xyz[:, 0])  # (-pi, pi]
 
-    span = fov_up_deg - fov_down_deg
-    row = np.floor((elev - fov_down_deg) / span * rows).astype(np.int64)
-    row[row == rows] = rows - 1  # elevation exactly at the top edge
-    col = np.floor((az + np.pi) / (2.0 * np.pi) * cols).astype(np.int64)
-    col = np.clip(col, 0, cols - 1)
+    # elevation -> row, then azimuth -> col, in place in one buffer
+    buf = np.zeros(n)    # elevation 0 where r is ~0; such points stay out
+    np.divide(z, r, out=buf, where=ok)
+    np.clip(buf, -1.0, 1.0, out=buf)
+    np.arcsin(buf, out=buf)
+    np.degrees(buf, out=buf)
+    buf -= fov_down_deg
+    buf /= fov_up_deg - fov_down_deg
+    buf *= rows
+    np.floor(buf, out=buf)
+    np.clip(buf, -1, rows + 1, out=buf)   # fits int32; outside stays outside
+    prow = buf.astype(np.int32)
+    prow[prow == rows] = rows - 1  # elevation exactly at the top edge
+    np.arctan2(y, x, out=buf)      # (-pi, pi]
+    buf += np.pi
+    buf /= 2.0 * np.pi
+    buf *= cols
+    np.floor(buf, out=buf)
+    pcol = buf.astype(np.int32)
+    np.clip(pcol, 0, cols - 1, out=pcol)
 
-    valid = ok & (row >= 0) & (row < rows)
-    prow[valid] = row[valid]
-    pcol[valid] = col[valid]
+    valid = ok & (prow >= 0) & (prow < rows)
+    cell = prow * cols
+    cell += pcol
+    out = ~valid
+    prow[out] = -1
+    pcol[out] = -1
+    cell[out] = rows * cols   # a spare slot past the image
 
-    # write far points first so the nearest survives; on exact range ties the
-    # lowest point index wins
-    vidx = np.nonzero(valid)[0]
-    order = vidx[np.lexsort((-vidx, -r[vidx]))]
-    index_img[row[order], col[order]] = order
-    return index_img, prow, pcol
+    # the nearest point wins its cell; on exact range ties the lowest index
+    best = np.full(rows * cols + 1, np.inf)
+    np.minimum.at(best, cell, r)
+    tied = np.flatnonzero(r == best[cell])
+    index_img = np.full(rows * cols + 1, n, dtype=np.int32)
+    np.minimum.at(index_img, cell[tied], tied.astype(np.int32))
+    index_img = index_img[:-1]
+    index_img[index_img == n] = -1
+    return index_img.reshape(rows, cols), prow, pcol
 
 
 def build_range_image(scan: PointCloud, rows: int, cols: int,
@@ -98,47 +127,43 @@ def build_range_image(scan: PointCloud, rows: int, cols: int,
                       fov_down_deg: float = -24.8) -> RangeImage:
     """Spherical projection; on cell collisions the nearer point wins."""
     if rows < 2 or cols < 2:
-        raise ValueError("range image needs rows, cols >= 2")
+        raise ContractError(f"range image needs rows, cols >= 2, got {rows}, {cols}")
     return RangeImage(*_project_numpy(scan.xyz, rows, cols,
                                       float(fov_up_deg), float(fov_down_deg)))
 
 
 def _walk_numpy(index_img, xyz, tan_thr):
     rows, cols = index_img.shape
-    occ = index_img >= 0
-    idx = np.where(occ, index_img, 0)
-    cx = xyz[:, 0][idx]
-    cy = xyz[:, 1][idx]
-    cz = xyz[:, 2][idx]
-    row_no = np.where(occ, np.arange(rows)[:, None], -1)
-    last_occ = np.maximum.accumulate(row_no, axis=0)
-    prev = np.vstack([np.full((1, cols), -1, np.int64), last_occ[:-1]])
-    has_prev = occ & (prev >= 0)
+    # occupied cells column by column, bottom-up: each cell's previous
+    # occupied cell is its predecessor here when both share a column
+    flat = index_img.T.ravel()
+    occ = flat >= 0
+    pos = np.flatnonzero(occ)
+    pts = flat[pos]
+    per_col = occ.reshape(cols, rows).sum(axis=1)
+    per_col = per_col[per_col > 0]
+    first = np.cumsum(per_col) - per_col   # each column's bottom-most cell
 
-    prev_idx = np.clip(prev, 0, None)
-    px = np.take_along_axis(cx, prev_idx, axis=0)
-    py = np.take_along_axis(cy, prev_idx, axis=0)
-    pz = np.take_along_axis(cz, prev_idx, axis=0)
-    dz = np.abs(cz - pz)
-    dxy = np.hypot(cx - px, cy - py)
-    step_ok = dz < tan_thr * dxy
+    dz = np.diff(xyz[:, 2].take(pts))
+    np.abs(dz, out=dz)
+    dx = np.diff(xyz[:, 0].take(pts))
+    dy = np.diff(xyz[:, 1].take(pts))
+    steep = ~(dz < tan_thr * np.hypot(dx, dy))   # NaN steps are steep too
 
-    # chain of shallow steps from the bottom; empty cells and the bottom-most
-    # occupied cell pass through
-    passthrough = np.where(has_prev, step_ok, True)
-    chain = np.logical_and.accumulate(passthrough, axis=0)
-    cand = occ & chain & has_prev
-
+    # a cell passes while its column holds no steep step from the bottom up
+    # to it: a running count of steep steps, less the count at the column
+    # start (which takes in the step from the column before)
+    seen = np.zeros(len(pos), dtype=np.int32)
+    np.cumsum(steep, out=seen[1:])
+    cand = seen == np.repeat(seen[first], per_col)
+    cand[first] = False
     # the bottom-most cell joins iff its step up to the second cell is shallow
-    col_any = occ.any(axis=0)
-    bottom = np.argmax(occ, axis=0)
-    occ2 = occ.copy()
-    occ2[bottom[col_any], np.nonzero(col_any)[0]] = False
-    col_two = occ2.any(axis=0)
-    second = np.argmax(occ2, axis=0)
-    c2 = np.nonzero(col_two)[0]
-    cand[bottom[c2], c2] = cand[second[c2], c2]
-    return cand
+    bottom = first[first < len(pos) - 1]
+    cand[bottom] = cand[bottom + 1]
+
+    out = np.zeros(rows * cols, dtype=bool)
+    out[pos] = cand
+    return out.reshape(cols, rows).T
 
 
 def extract_candidates(img: RangeImage, scan: PointCloud,
@@ -152,13 +177,15 @@ def extract_candidates(img: RangeImage, scan: PointCloud,
     inherit candidacy.
     """
     n = len(scan)
-    mask = np.zeros(n, dtype=bool)
     if n == 0 or not (img.point_index >= 0).any():
-        return mask
+        return np.zeros(n, dtype=bool)
     cand = _walk_numpy(img.point_index, scan.xyz,
                        math.tan(math.radians(angle_threshold_deg)))
-    in_img = img.point_rows >= 0
-    mask[in_img] = cand[img.point_rows[in_img], img.point_cols[in_img]]
+    # cand is a view of a column-major buffer; points outside the image
+    # (row and col -1) read some cell and are masked off after
+    rows = cand.shape[0]
+    mask = cand.T.ravel().take(img.point_cols * rows + img.point_rows)
+    mask &= img.point_rows >= 0
     return mask
 
 
@@ -182,13 +209,17 @@ def _fit_plane(pts: np.ndarray):
     return normal, float(normal @ mean)
 
 
-def _sector_ids(xyz: np.ndarray, cfg: GroundSegConfig) -> np.ndarray:
+def _sector_ids(x: np.ndarray, y: np.ndarray, cfg: GroundSegConfig) -> np.ndarray:
+    """Sector of each point; overwrites the coordinate arrays x and y."""
     half = cfg.footprint / 2.0
-    ix = np.clip(np.floor((xyz[:, 0] + half) / (cfg.footprint / cfg.sectors_x)),
-                 0, cfg.sectors_x - 1).astype(np.int64)
-    iy = np.clip(np.floor((xyz[:, 1] + half) / (cfg.footprint / cfg.sectors_y)),
-                 0, cfg.sectors_y - 1).astype(np.int64)
-    return ix * cfg.sectors_y + iy
+    for v, n in ((x, cfg.sectors_x), (y, cfg.sectors_y)):
+        v += half
+        v /= cfg.footprint / n
+        np.floor(v, out=v)
+        np.clip(v, 0, n - 1, out=v)
+    x *= cfg.sectors_y
+    x += y
+    return x.astype(np.intp)
 
 
 def fit_ground_model(scan: PointCloud, candidates: np.ndarray,
@@ -203,75 +234,68 @@ def fit_ground_model(scan: PointCloud, candidates: np.ndarray,
     normals = np.full((n_sect, 3), np.nan)
     offsets = np.full(n_sect, np.nan)
     has_plane = np.zeros(n_sect, dtype=bool)
+    poisoned = np.zeros(n_sect, dtype=bool)
     ground = np.zeros(len(scan), dtype=bool)
+    model = GroundModel(normals, offsets, has_plane,
+                        cfg.sectors_x, cfg.sectors_y, cfg.footprint)
 
     xyz = scan.xyz
-    cand_idx = np.nonzero(candidates)[0]
+    cand_idx = np.flatnonzero(candidates)
     if len(cand_idx) == 0:
-        return ground, GroundModel(normals, offsets, has_plane,
-                                   cfg.sectors_x, cfg.sectors_y, cfg.footprint)
-    sect_cand = _sector_ids(xyz[cand_idx], cfg)
+        return ground, model
+    sect = _sector_ids(xyz[:, 0].take(cand_idx), xyz[:, 1].take(cand_idx), cfg)
 
-    # group candidate indices per sector in one radix pass
-    order = np.argsort(sect_cand.astype(np.uint16), kind="stable")
-    sorted_sid = sect_cand[order]
-    uniq_sid, starts = np.unique(sorted_sid, return_index=True)
-    bounds = np.append(starts[1:], len(order))
-    groups = {int(s): cand_idx[order[lo:hi]]
-              for s, lo, hi in zip(uniq_sid, starts, bounds)}
+    # candidate indices grouped by sector in one radix pass
+    by_sector = cand_idx[np.argsort(sect.astype(np.uint16), kind="stable")]
+    counts = np.bincount(sect, minlength=n_sect)
+    ends = np.cumsum(counts)
+    starts = ends - counts
 
-    poisoned = set()
-    for sid in range(n_sect):
-        idx = groups.get(sid, ())
-        if len(idx) < cfg.min_sector_candidates:
-            continue
-        pts = xyz[idx]
-        if len(pts) > cfg.max_fit_points:
+    for sid in np.flatnonzero(counts >= cfg.min_sector_candidates):
+        idx = by_sector[starts[sid]:ends[sid]]
+        if len(idx) > cfg.max_fit_points:
             # plane fitting saturates quickly; an even subsample keeps the
             # iteration cost bounded while the final test sees every point
-            pts = pts[:: len(pts) // cfg.max_fit_points + 1]
+            idx = idx[:: len(idx) // cfg.max_fit_points + 1]
+        pts = xyz.take(idx, axis=0)
         k = max(3, int(np.ceil(cfg.seed_fraction * len(pts))))
-        seeds = pts[np.argpartition(pts[:, 2], k - 1)[:k]]
-        work = seeds
-        plane = None
-        for _ in range(cfg.iterations):
-            fit = _fit_plane(work)
-            if fit is None:
-                plane = None
-                poisoned.add(sid)
+        work = pts[np.argpartition(pts[:, 2], k - 1)[:k]]
+        plane, inliers = None, None
+        for it in range(cfg.iterations):
+            plane = _fit_plane(work)
+            if plane is None:
+                poisoned[sid] = True
                 break
-            plane = fit
-            dist = np.abs(pts @ plane[0] - plane[1])
-            work = pts[dist < cfg.plane_dist_threshold]
+            if it == cfg.iterations - 1:
+                break
+            near = np.abs(pts @ plane[0] - plane[1]) < cfg.plane_dist_threshold
+            if inliers is not None and np.array_equal(near, inliers):
+                break   # the same inliers again: every later fit is this plane
+            inliers = near
+            work = pts[near]
             if len(work) < 3:
                 break
         if plane is not None:
-            normals[sid] = plane[0]
-            offsets[sid] = plane[1]
+            normals[sid], offsets[sid] = plane
             has_plane[sid] = True
 
     # neighbor fallback for under-populated sectors (not degenerate ones)
-    fitted = np.nonzero(has_plane)[0]
+    fitted = np.flatnonzero(has_plane)
     if len(fitted):
         fx, fy = fitted // cfg.sectors_y, fitted % cfg.sectors_y
-        for sid in np.unique(sect_cand):
-            if has_plane[sid] or sid in poisoned:
-                continue
+        for sid in np.flatnonzero((counts > 0) & ~has_plane & ~poisoned):
             gx, gy = sid // cfg.sectors_y, sid % cfg.sectors_y
-            d2 = (fx - gx) ** 2 + (fy - gy) ** 2
-            src = fitted[np.argmin(d2)]
+            src = fitted[np.argmin((fx - gx) ** 2 + (fy - gy) ** 2)]
             normals[sid] = normals[src]
             offsets[sid] = offsets[src]
             has_plane[sid] = True
 
-    usable = has_plane[sect_cand]
-    idx = cand_idx[usable]
-    if len(idx):
-        sid = sect_cand[usable]
-        dist = np.abs(np.einsum("ij,ij->i", xyz[idx], normals[sid]) - offsets[sid])
-        ground[idx] = dist <= cfg.plane_dist_threshold
-    return ground, GroundModel(normals, offsets, has_plane,
-                               cfg.sectors_x, cfg.sectors_y, cfg.footprint)
+    for sid in np.flatnonzero(has_plane & (counts > 0)):
+        idx = by_sector[starts[sid]:ends[sid]]
+        dist = np.einsum("ij,j->i", xyz.take(idx, axis=0), normals[sid])
+        dist -= offsets[sid]
+        ground[idx] = np.abs(dist, out=dist) <= cfg.plane_dist_threshold
+    return ground, model
 
 
 def segment_ground_mask(scan: PointCloud, cfg: GroundSegConfig) -> np.ndarray:

@@ -147,8 +147,10 @@ def process_frame(scan: PointCloud, pose: Pose, f: int, state: MapState,
         ground_mask = segment_ground_mask(scan, ground_cfg or GroundSegConfig())
     t1 = time.perf_counter()
 
-    world_xyz = scan.xyz @ pose.rotation.T + pose.translation
+    world_xyz = scan.xyz @ pose.rotation.T
+    world_xyz += pose.translation
     keys = pack_keys(voxel_keys(world_xyz, state.voxel_size))
+    world_xyz = world_xyz.astype(np.float32)   # what the map stores
     ground_ids = state.ground_table.insert(keys[ground_mask], world_xyz[ground_mask],
                                            f, GROUND)
     obj = state.object_table

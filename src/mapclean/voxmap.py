@@ -22,8 +22,10 @@ set of frames that observed the voxel. A sorted copy of the keys, with the
 id of each, answers lookups and column queries by `searchsorted`; a frame's
 new keys are merged into it once.
 
-Points go into an append-only float32 buffer per table with the voxel id
-of each point beside it, so exporting a submap is one boolean mask.
+Points go into an append-only float32 buffer per table. The object table
+keeps the voxel id of each point beside it, so exporting a submap is one
+boolean mask; ground voxels never change class, so the ground table keeps
+no ids and exports all its points.
 
 All mutation happens on the caller's thread (single-writer contract).
 """
@@ -48,7 +50,8 @@ GROUND, NONGROUND, DYNAMIC = 0, 1, 2   # class byte of a voxel
 
 def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
     """(N, 3) int64 grid cells for a point array."""
-    return np.floor(np.asarray(xyz, dtype=np.float64) / voxel_size).astype(np.int64)
+    cells = np.asarray(xyz, dtype=np.float64) / voxel_size
+    return np.floor(cells, out=cells).astype(np.int64)
 
 
 def pack_key(key) -> int:
@@ -67,7 +70,10 @@ def pack_keys(keys: np.ndarray) -> np.ndarray:
     k = keys + _OFF
     if k.size and (k.min() < 0 or k.max() >= _SPAN):
         raise ContractError("voxel index outside packable range (+/- 2^20 cells)")
-    return (k[:, 0] << 42) | (k[:, 1] << 21) | k[:, 2]
+    packed = k[:, 0] << 42
+    packed |= k[:, 1] << 21
+    packed |= k[:, 2]
+    return packed
 
 
 def unpack_keys(packed: np.ndarray) -> np.ndarray:
@@ -97,7 +103,7 @@ class VoxelTable:
         self._sorted = np.zeros(0, np.int64)  # the keys in ascending order
         self._ids = np.zeros(0, np.int64)     # voxel id of each sorted key
         self._xyz = [np.zeros((0, 3), np.float32)]  # point chunks, merged on read
-        self._vid = [np.zeros(0, np.int32)]         # voxel id of each point
+        self._vid = [np.zeros(0, np.int32)]         # voxel id of each point, not for ground
 
     def __len__(self):
         return len(self.key)
@@ -120,7 +126,10 @@ class VoxelTable:
         Returns the voxel ids of the distinct keys, in ascending key order.
         f must be later than any frame a key was inserted with before, as
         process_frame's increasing frames ensure; that keeps first/last/count
-        exact. New voxels get class cls; the others keep theirs.
+        exact. New voxels get class cls; the others keep theirs. Points of
+        GROUND inserts get no voxel id, as ground voxels never change class,
+        so a table must take GROUND inserts only or none at all: mixing them
+        would misalign the ids with the points.
         """
         uniq, inv = np.unique(keys, return_inverse=True)
         pos, ids = self._match(uniq)
@@ -140,7 +149,8 @@ class VoxelTable:
             self._ids = np.insert(self._ids, pos[new], ids[new])
         if len(keys):
             self._xyz.append(np.asarray(xyz, dtype=np.float32))
-            self._vid.append(ids[inv].astype(np.int32))
+            if cls != GROUND:
+                self._vid.append(ids[inv].astype(np.int32))
         return ids
 
     def below(self, keys: np.ndarray, steps: int) -> np.ndarray:
@@ -172,7 +182,11 @@ class VoxelTable:
         return self._ids[pos], owner
 
     def points(self):
-        """(xyz, voxel id) of every point inserted, as two arrays."""
+        """(xyz, voxel id) of every point inserted.
+
+        The ids are empty in a table of GROUND inserts, all of whose points
+        are ground.
+        """
         if len(self._xyz) > 1:
             self._xyz = [np.concatenate(self._xyz)]
             self._vid = [np.concatenate(self._vid)]
@@ -199,10 +213,14 @@ class Submap:
     def points(self) -> np.ndarray:
         """(P, 3) float32 points of this submap's voxels."""
         xyz, vid = self.table.points()
+        if not len(vid):   # a table without ids holds ground points only
+            return xyz
         return xyz[self.table.cls[vid] == self.cls]
 
     def total_points(self) -> int:
-        _, vid = self.table.points()
+        xyz, vid = self.table.points()
+        if not len(vid):
+            return len(xyz)
         return int(np.count_nonzero(self.table.cls[vid] == self.cls))
 
 
@@ -221,8 +239,14 @@ class MapState:
 
 def export_static_map(state: MapState) -> PointCloud:
     """All points in the ground and non-ground submaps; dynamic excluded."""
-    ground_xyz, _ = state.ground_table.points()
-    return PointCloud(np.concatenate([ground_xyz, state.nonground.points()]))
+    ground_xyz = state.ground.points()
+    obj_xyz, vid = state.object_table.points()
+    keep = state.object_table.cls[vid] == NONGROUND
+    n = len(ground_xyz)
+    out = np.empty((n + int(np.count_nonzero(keep)), 3))
+    out[:n] = ground_xyz
+    out[n:] = obj_xyz[keep]
+    return PointCloud(out)
 
 
 def export_dynamic_map(state: MapState) -> PointCloud:

@@ -227,7 +227,9 @@ def test_criterion_8_data_structure_properties():
     """1e5 random insert/move operations keep every map invariant intact.
 
     The invariants are checked against an independent model: key -> set of
-    frames, point count and class, kept in plain dicts.
+    frames, point count and class, kept in plain dicts. The ground table
+    keeps no per-point voxel id, so its points are checked whole against the
+    model's ground points in insertion order.
     """
     rng = np.random.default_rng(11)
     state = MapState(voxel_size=0.5)
@@ -235,6 +237,7 @@ def test_criterion_8_data_structure_properties():
     frames = {"ground": {}, "object": {}}
     points = {"ground": {}, "object": {}}
     classes = {}
+    ground_xyz = [np.zeros((0, 3), np.float32)]
     violations = 0
 
     def audit():
@@ -248,14 +251,20 @@ def test_criterion_8_data_structure_properties():
                     or not np.array_equal(t._sorted, np.sort(t.key))
                     or not np.array_equal(t.key[t._ids], t._sorted)):
                 violations += 1
-            per_voxel = np.bincount(t.points()[1], minlength=len(t)).tolist()
+            xyz, vid = t.points()
+            if name == "ground":   # no ids: same count, same points, same order
+                if len(vid) or not np.array_equal(xyz, np.concatenate(ground_xyz)):
+                    violations += 1
+                per_voxel = [None] * len(t)
+            else:
+                per_voxel = np.bincount(vid, minlength=len(t)).tolist()
             for key, first, last, count, cls, n in zip(
                     map(tuple, unpack_keys(t.key).tolist()), t.first.tolist(),
                     t.last.tolist(), t.count.tolist(), t.cls.tolist(), per_voxel):
                 fs = frames[name].get(key)
                 want_cls = classes.get(key) if name == "object" else GROUND
                 if (fs is None or (first, last, count) != (min(fs), max(fs), len(fs))
-                        or n != points[name][key] or cls != want_cls):
+                        or n not in (None, points[name][key]) or cls != want_cls):
                     violations += 1
 
     n_ops = 100_000
@@ -274,6 +283,8 @@ def test_criterion_8_data_structure_properties():
                 points[name][key] = points[name].get(key, 0) + 1
                 if name == "object":
                     classes.setdefault(key, NONGROUND)
+            if name == "ground":
+                ground_xyz.append(pts.astype(np.float32))
         elif op < 0.95:
             # a move flips the class byte of a random non-ground or dynamic voxel
             src, dst = ((state.nonground, DYNAMIC) if op < 0.85

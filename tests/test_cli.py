@@ -186,6 +186,24 @@ def test_eval_malformed_map_exit_2(tmp_path, appear_seq, capsys, body):
     assert "clean.pcd" in err and "Traceback" not in err
 
 
+def test_eval_reads_map_before_any_scan(tmp_path, capsys):
+    # every scan is unreadable, so only a map check that comes first can
+    # report the empty map
+    velodyne, labels = tmp_path / "velodyne", tmp_path / "labels"
+    velodyne.mkdir()
+    labels.mkdir()
+    for f in range(3):
+        (velodyne / f"{f:06d}.bin").write_bytes(b"\x00" * 5)
+    poses = tmp_path / "poses.txt"
+    poses.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" * 3)
+    clean = tmp_path / "clean.pcd"
+    clean.write_bytes(b"")
+    rc = main(["eval", str(velodyne), str(poses), str(labels), str(clean)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "clean.pcd" in err and ".bin" not in err and "Traceback" not in err
+
+
 # -- bench ---------------------------------------------------------------------
 
 def test_bench_csv_schema(tmp_path, crossing_seq, capsys):
@@ -251,6 +269,8 @@ BAD_VALUES = [
     {"ground": {"cols": 0}},
     {"ground": {"rows": 32.0}},
     {"ground": {"cols": "2048"}},
+    {"ground": {"min_sector_candidates": 2}},
+    {"ground": {"min_sector_candidates": 10.0}},
     {"frames": {"start": -1}},
     {"frames": {"end": "3"}},
 ]

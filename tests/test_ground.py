@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rendered
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mapclean.ground import (GroundSegConfig, _project_numpy, _walk_numpy,
-                             build_range_image, extract_candidates,
+from mapclean.errors import ContractError
+from mapclean.ground import (GroundSegConfig, _fit_plane, _project_numpy,
+                             _walk_numpy, build_range_image, extract_candidates,
                              fit_ground_model, segment_ground_mask)
 from mapclean.io import PointCloud
 from mapclean.simulate import (Box, GroundPlane, Scenario, SensorModel,
@@ -44,8 +48,9 @@ def refine(cloud, candidates, cfg):
 
 
 # -- sequential reference ----------------------------------------------------
-# Plain per-point and per-cell loops that define the semantics the vectorised
-# kernels in mapclean.ground must reproduce entry for entry.
+# Plain per-point and per-cell loops, and the per-sector plane fit in its
+# plainest form, that define the semantics the vectorised kernels in
+# mapclean.ground must reproduce entry for entry.
 
 def _project_reference(xyz, rows, cols, fov_up_deg, fov_down_deg):
     n = xyz.shape[0]
@@ -112,6 +117,104 @@ def _walk_reference(index_img, xyz, tan_thr):
     return cand
 
 
+def _fit_reference(xyz, candidates, cfg):
+    """(ground mask, normals, offsets, has_plane) of the per-sector plane fit."""
+    n_sect = cfg.sectors_x * cfg.sectors_y
+    normals = np.full((n_sect, 3), np.nan)
+    offsets = np.full(n_sect, np.nan)
+    has_plane = np.zeros(n_sect, dtype=bool)
+    ground = np.zeros(len(xyz), dtype=bool)
+    cand_idx = np.nonzero(candidates)[0]
+    if len(cand_idx) == 0:
+        return ground, normals, offsets, has_plane
+    half = cfg.footprint / 2.0
+    ix = np.clip(np.floor((xyz[cand_idx, 0] + half) / (cfg.footprint / cfg.sectors_x)),
+                 0, cfg.sectors_x - 1).astype(np.int64)
+    iy = np.clip(np.floor((xyz[cand_idx, 1] + half) / (cfg.footprint / cfg.sectors_y)),
+                 0, cfg.sectors_y - 1).astype(np.int64)
+    sect_cand = ix * cfg.sectors_y + iy
+
+    poisoned = set()
+    for sid in range(n_sect):
+        idx = cand_idx[sect_cand == sid]
+        if len(idx) < cfg.min_sector_candidates:
+            continue
+        pts = xyz[idx]
+        if len(pts) > cfg.max_fit_points:
+            pts = pts[:: len(pts) // cfg.max_fit_points + 1]
+        k = max(3, int(np.ceil(cfg.seed_fraction * len(pts))))
+        work = pts[np.argpartition(pts[:, 2], k - 1)[:k]]
+        plane = None
+        for _ in range(cfg.iterations):
+            fit = _fit_plane(work)
+            if fit is None:
+                plane = None
+                poisoned.add(sid)
+                break
+            plane = fit
+            dist = np.abs(pts @ plane[0] - plane[1])
+            work = pts[dist < cfg.plane_dist_threshold]
+            if len(work) < 3:
+                break
+        if plane is not None:
+            normals[sid] = plane[0]
+            offsets[sid] = plane[1]
+            has_plane[sid] = True
+
+    # neighbor fallback for under-populated sectors (not degenerate ones)
+    fitted = np.nonzero(has_plane)[0]
+    if len(fitted):
+        fx, fy = fitted // cfg.sectors_y, fitted % cfg.sectors_y
+        for sid in np.unique(sect_cand):
+            if has_plane[sid] or sid in poisoned:
+                continue
+            gx, gy = sid // cfg.sectors_y, sid % cfg.sectors_y
+            d2 = (fx - gx) ** 2 + (fy - gy) ** 2
+            src = fitted[np.argmin(d2)]
+            normals[sid] = normals[src]
+            offsets[sid] = offsets[src]
+            has_plane[sid] = True
+
+    usable = has_plane[sect_cand]
+    idx = cand_idx[usable]
+    if len(idx):
+        sid = sect_cand[usable]
+        dist = np.abs(np.einsum("ij,ij->i", xyz[idx], normals[sid]) - offsets[sid])
+        ground[idx] = dist <= cfg.plane_dist_threshold
+    return ground, normals, offsets, has_plane
+
+
+def assert_kernels_match(xyz, cfg, tan_thrs):
+    """Every kernel equals its reference on one scan, entry for entry.
+
+    The walk runs at each threshold tangent in tan_thrs; the fit runs on the
+    candidates of the configured angle.
+    """
+    ref = _project_reference(xyz, cfg.rows, cfg.cols, cfg.fov_up_deg, cfg.fov_down_deg)
+    got = _project_numpy(xyz, cfg.rows, cfg.cols, cfg.fov_up_deg, cfg.fov_down_deg)
+    for want, have in zip(ref[1:], got):
+        assert have.dtype == np.int32
+        np.testing.assert_array_equal(have, want)
+    index_img = ref[1]
+    for tan_thr in tan_thrs:
+        np.testing.assert_array_equal(_walk_numpy(index_img, xyz, tan_thr),
+                                      _walk_reference(index_img, xyz, tan_thr))
+    cloud = PointCloud(xyz)
+    img = build_range_image(cloud, cfg.rows, cfg.cols, cfg.fov_up_deg, cfg.fov_down_deg)
+    cand = extract_candidates(img, cloud, cfg.angle_threshold_deg)
+    # the fit also runs with every point a candidate, which fills more sectors
+    for fit_input in (cand, np.ones(len(xyz), dtype=bool)):
+        ground, model = fit_ground_model(cloud, fit_input, cfg)
+        want = _fit_reference(xyz, fit_input, cfg)
+        np.testing.assert_array_equal(ground, want[0])
+        np.testing.assert_array_equal(model.normals, want[1])
+        np.testing.assert_array_equal(model.offsets, want[2])
+        np.testing.assert_array_equal(model.has_plane, want[3])
+    np.testing.assert_array_equal(segment_ground_mask(cloud, cfg),
+                                  _fit_reference(xyz, cand, cfg)[0])
+    return index_img, cand
+
+
 def _tied_ranges_scan():
     """Exact range ties inside one cell of a coarse 24x8 image.
 
@@ -153,23 +256,89 @@ REFERENCE_CASES = {
 def test_kernels_match_sequential_reference(case):
     make, rows, cols = REFERENCE_CASES[case]
     xyz = make()
-    ref = _project_reference(xyz, rows, cols, 2.0, -24.8)
-    got = _project_numpy(xyz, rows, cols, 2.0, -24.8)
-    for want, have in zip(ref[1:], got):
-        np.testing.assert_array_equal(have, want)
-    index_img = ref[1]
+    # tan_thr 1.0 puts the 45-degree step exactly on the threshold
+    index_img, _ = assert_kernels_match(
+        xyz, GroundSegConfig(rows=rows, cols=cols, min_sector_candidates=3),
+        (math.tan(math.radians(2.0)), math.tan(math.radians(10.0)), 1.0))
     per_col = (index_img >= 0).sum(axis=0)
     if case == "sparse":
         assert (per_col == 0).sum() > cols // 2 and (per_col == 1).any()
     if case == "ties":  # the lowest index of a tie wins its cell
-        prow, pcol = ref[2], ref[3]
+        _, _, prow, pcol = _project_reference(xyz, rows, cols, 2.0, -24.8)
         assert pcol[0] == pcol[1] != pcol[2] == pcol[3] and len(set(prow[:4])) == 1
         assert index_img[prow[0], pcol[0]] == 7  # the nearer point, same direction
         assert index_img[prow[2], pcol[2]] == 2
-    # tan_thr 1.0 puts the 45-degree step exactly on the threshold
-    for tan_thr in (math.tan(math.radians(2.0)), math.tan(math.radians(10.0)), 1.0):
-        np.testing.assert_array_equal(_walk_numpy(index_img, xyz, tan_thr),
-                                      _walk_reference(index_img, xyz, tan_thr))
+
+
+SCENARIOS = ["continuous-mover", "crowd", "pedestrian-crossing", "static-street",
+             "suddenly-appear", "suddenly-disappear"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_kernels_match_reference_on_scenarios(name):
+    sc, frames = rendered(name)
+    cfg = ground_cfg_for(sc)
+    tan_thr = math.tan(math.radians(cfg.angle_threshold_deg))
+    for f in sorted({0, len(frames) // 2, len(frames) - 1}):
+        assert_kernels_match(frames[f].scan.xyz, cfg, (tan_thr,))
+
+
+# Hypothesis scans are built on a 0.5 m lattice so that ranges tie exactly,
+# steps rise exactly at 45 degrees (tan 1.0) and planes are exact.
+HALF = st.integers(-24, 24).map(lambda v: v / 2)
+
+
+@st.composite
+def lattice_scans(draw):
+    parts = []
+    # ground: patches of lattice planes under the sensor, and loose points
+    for _ in range(draw(st.integers(0, 2))):
+        x0, y0 = draw(HALF), draw(HALF)
+        nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        gx, gy = np.meshgrid(x0 + np.arange(nx) / 2, y0 + np.arange(ny) / 2)
+        slope = draw(st.sampled_from([0.0, 0.5]))
+        parts.append(np.column_stack([gx.ravel(), gy.ravel(),
+                                      slope * gx.ravel() - draw(st.sampled_from([1.5, 2.0]))]))
+    loose = draw(st.lists(st.tuples(HALF, HALF), max_size=6))
+    parts.append(np.array([(x, y, -1.5) for x, y in loose]).reshape(-1, 3))
+    # walls, stairs rising exactly 45 degrees and collinear runs
+    for _ in range(draw(st.integers(0, 3))):
+        x, y, z = draw(HALF), draw(HALF), draw(st.sampled_from([-2.0, -1.5, -1.0]))
+        n = draw(st.integers(2, 10))
+        k = np.arange(n) / 2
+        kind = draw(st.sampled_from(["wall", "stairs", "line"]))
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (-1, 1)]))
+        if kind == "wall":
+            pts = np.column_stack([np.full(n, x), np.full(n, y), z + k])
+        elif kind == "stairs":
+            pts = np.column_stack([x + dx * k, y + dy * k, z + k * math.hypot(dx, dy)])
+        else:
+            pts = np.column_stack([x + dx * k, y + dy * k, np.full(n, z)])
+        parts.append(pts)
+    xyz = np.vstack(parts)
+    # exact range ties: repeats, mirror images (x, y) -> (y, x), the origin
+    if len(xyz) and draw(st.booleans()):
+        pick = draw(st.lists(st.integers(0, len(xyz) - 1), max_size=8))
+        xyz = np.vstack([xyz, xyz[pick], xyz[pick][:, [1, 0, 2]]])
+    if draw(st.booleans()):
+        xyz = np.vstack([xyz, np.zeros((1, 3))])
+    order = draw(st.permutations(range(len(xyz))))
+    return xyz[list(order)].reshape(-1, 3)
+
+
+@given(xyz=lattice_scans(),
+       rows=st.integers(2, 24), cols=st.integers(2, 48),
+       sectors=st.integers(1, 4), footprint=st.sampled_from([8.0, 16.0, 40.0]),
+       min_cands=st.integers(3, 12), max_fit=st.integers(3, 40),
+       iterations=st.integers(1, 4), angle=st.sampled_from([5.0, 10.0, 45.0]))
+def test_kernels_match_reference_on_random_scans(xyz, rows, cols, sectors, footprint,
+                                                 min_cands, max_fit, iterations, angle):
+    cfg = GroundSegConfig(rows=rows, cols=cols, fov_up_deg=10.0, fov_down_deg=-60.0,
+                          angle_threshold_deg=angle, sectors_x=sectors,
+                          sectors_y=sectors, footprint=footprint,
+                          min_sector_candidates=min_cands, max_fit_points=max_fit,
+                          iterations=iterations)
+    assert_kernels_match(xyz, cfg, (math.tan(math.radians(angle)), 1.0))
 
 
 # -- range image -------------------------------------------------------------
@@ -221,7 +390,7 @@ def test_range_image_lower_rows_occupied_on_flat_ground():
 
 
 def test_range_image_requires_min_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractError):
         build_range_image(PointCloud(np.zeros((1, 3))), 1, 10)
 
 
@@ -307,6 +476,22 @@ def test_refine_sloped_scene_iou():
     true_g = frame.labels == 0
     iou = (mask & true_g).sum() / (mask | true_g).sum()
     assert iou >= 0.9
+
+
+def test_sector_with_exactly_min_candidates_fits_its_own_plane():
+    # sector 0 (x < 0) holds exactly min_sector_candidates flat points, its
+    # neighbour a tilted plane it must not borrow
+    flat = np.array([[-1.0 - i % 5, 1.0 + i // 5, -1.5] for i in range(10)])
+    gx, gy = np.meshgrid(np.arange(1.0, 11.0), np.arange(-5.0, 5.0))
+    tilted = np.column_stack([gx.ravel(), gy.ravel(), 0.5 * gx.ravel() - 1.5])
+    xyz = np.vstack([flat, tilted])
+    cfg = GroundSegConfig(sectors_x=2, sectors_y=1, footprint=40.0,
+                          min_sector_candidates=10, seed_fraction=1.0)
+    everything = np.ones(len(xyz), dtype=bool)
+    ground, model = fit_ground_model(PointCloud(xyz), everything, cfg)
+    assert model.normals[0][2] == pytest.approx(1.0, abs=1e-12)
+    assert ground.all()
+    np.testing.assert_array_equal(model.normals, _fit_reference(xyz, everything, cfg)[1])
 
 
 def test_ground_points_respect_sector_planes():

@@ -35,12 +35,17 @@ def keys_of(table, ids):
 
 
 class Shadow:
-    """Independent model of the map: key -> set of frames, points and class."""
+    """Independent model of the map: key -> set of frames, points and class.
+
+    Ground points are also kept whole, in insertion order: the ground table
+    stores no per-point voxel id, so it is audited as one buffer.
+    """
 
     def __init__(self):
         self.frames = {GROUND: {}, "object": {}}
         self.points = {GROUND: {}, "object": {}}
         self.cls = {}                      # object key -> NONGROUND / DYNAMIC
+        self.ground_xyz = [np.zeros((0, 3), np.float32)]
 
     def add(self, table, key, f):
         self.frames[table].setdefault(key, set()).add(f)
@@ -57,14 +62,20 @@ def audit(state, shadow):
         assert len(np.unique(table.key)) == len(table)
         np.testing.assert_array_equal(table._sorted, np.sort(table.key))
         np.testing.assert_array_equal(table.key[table._ids], table._sorted)
-        _, point_vid = table.points()
-        per_voxel = np.bincount(point_vid, minlength=len(table))
+        point_xyz, point_vid = table.points()
+        if name == GROUND:
+            assert len(point_vid) == 0
+            assert len(point_xyz) == sum(points.values())
+            np.testing.assert_array_equal(point_xyz, np.concatenate(shadow.ground_xyz))
+        else:
+            per_voxel = np.bincount(point_vid, minlength=len(table))
         for vid, key in enumerate(unpack_keys(table.key).tolist()):
             fs = frames[tuple(key)]
             assert table.first[vid] == min(fs)
             assert table.last[vid] == max(fs)
             assert table.count[vid] == len(fs)
-            assert per_voxel[vid] == points[tuple(key)]
+            if name != GROUND:
+                assert per_voxel[vid] == points[tuple(key)]
     total = (state.ground.total_points() + state.nonground.total_points()
              + state.dynamic.total_points())
     assert total == sum(sum(p.values()) for p in shadow.points.values())
@@ -280,6 +291,8 @@ def test_random_operation_stream_invariants():
                           cls=GROUND if name == GROUND else NONGROUND)
             for key in map(tuple, voxel_keys(pts, 0.5).tolist()):
                 shadow.add(name, key, f)
+            if name == GROUND:
+                shadow.ground_xyz.append(pts.astype(np.float32))
         else:
             src, dst = (state.nonground, DYNAMIC) if op < 0.8 else (state.dynamic, NONGROUND)
             ids = src.ids()
