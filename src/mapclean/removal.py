@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ContractError, is_integer, is_number
 from .ground import GroundSegConfig, segment_ground_mask
 from .io import PointCloud, Pose
-from .voxmap import (DYNAMIC, GROUND, NONGROUND, MapState, cells_in_range,
-                     pack_keys, unpack_keys, voxel_keys)
+from .voxmap import (DYNAMIC, GROUND, NONGROUND, MapState, _distinct,
+                     cells_in_range, pack_keys, unpack_keys, voxel_keys)
 
 
 @dataclass
@@ -94,7 +94,7 @@ def _upward(state: MapState, ground_ids: np.ndarray, steps: int, tau_ret: int) -
     ids, owner = obj.above(gnd.key[ground_ids], steps)
     stale = ((obj.cls[ids] == NONGROUND)
              & (gnd.last[ground_ids][owner] - obj.last[ids] > tau_ret))
-    marked = np.unique(ids[stale])
+    marked = _distinct(ids[stale])
     obj.cls[marked] = DYNAMIC
     return marked
 
@@ -151,10 +151,11 @@ def process_frame(scan: PointCloud, pose: Pose, f: int, state: MapState,
     world_xyz += pose.translation
     keys = pack_keys(voxel_keys(world_xyz, state.voxel_size))
     world_xyz = world_xyz.astype(np.float32)   # what the map stores
-    ground_ids = state.ground_table.insert(keys[ground_mask], world_xyz[ground_mask],
+    on, off = np.flatnonzero(ground_mask), np.flatnonzero(~ground_mask)
+    ground_ids = state.ground_table.insert(keys.take(on), world_xyz.take(on, axis=0),
                                            f, GROUND)
     obj = state.object_table
-    ids = obj.insert(keys[~ground_mask], world_xyz[~ground_mask], f, NONGROUND)
+    ids = obj.insert(keys.take(off), world_xyz.take(off, axis=0), f, NONGROUND)
     t2 = time.perf_counter()
 
     touched_dynamic = ids[obj.cls[ids] == DYNAMIC]

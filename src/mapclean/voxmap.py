@@ -22,6 +22,12 @@ set of frames that observed the voxel. A sorted copy of the keys, with the
 id of each, answers lookups and column queries by `searchsorted`; a frame's
 new keys are merged into it once.
 
+A frame's keys are grouped without sorting its points. Scan order puts a
+voxel's points next to each other, so the frame first collapses into runs
+of equal neighbouring keys (about one run per five points on a street
+scan); only the run keys are sorted and deduplicated, and each point's
+voxel id is spread back from its run with `np.repeat`.
+
 Points go into an append-only float32 buffer per table. The object table
 keeps the voxel id of each point beside it, so exporting a submap is one
 boolean mask; ground voxels never change class, so the ground table keeps
@@ -37,7 +43,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, is_number
 from .io import PointCloud
 
 # grid indices live in [-2^20, 2^20): 21 bits per axis packed into an int64
@@ -56,6 +62,8 @@ def voxel_keys(xyz: np.ndarray, voxel_size: float) -> np.ndarray:
 
 def pack_key(key) -> int:
     i, j, k = key
+    if not (-_OFF <= i < _OFF and -_OFF <= j < _OFF and -_OFF <= k < _OFF):
+        raise ContractError(f"voxel index {tuple(key)} outside packable range (+/- 2^20 cells)")
     return ((i + _OFF) << 42) | ((j + _OFF) << 21) | (k + _OFF)
 
 
@@ -81,6 +89,36 @@ def unpack_keys(packed: np.ndarray) -> np.ndarray:
     p = np.asarray(packed, dtype=np.int64)
     return np.stack([(p >> 42) - _OFF, ((p >> 21) & _M21) - _OFF,
                      (p & _M21) - _OFF], axis=1)
+
+
+def _heads(a: np.ndarray) -> np.ndarray:
+    """True where a value differs from the one before it, and at the start."""
+    head = np.empty(len(a), bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
+def _distinct(keys: np.ndarray, inverse: bool = False):
+    """The distinct keys in ascending order; np.unique that sorts only runs.
+
+    Equal neighbours collapse into runs first, so only one key per run is
+    sorted. With inverse, also returns (rank, length) per run: the index of
+    its key among the distinct keys and its number of keys, so that
+    np.repeat(x[rank], length) spreads a per-distinct-key array x back over
+    keys.
+    """
+    start = np.flatnonzero(_heads(keys))
+    runs = keys[start]
+    if not inverse:
+        runs.sort()
+        return runs[_heads(runs)]
+    order = np.argsort(runs)
+    runs = runs[order]
+    head = _heads(runs)
+    rank = np.empty(len(order), np.intp)
+    rank[order] = np.cumsum(head) - 1
+    return runs[head], rank, np.diff(start, append=len(keys))
 
 
 def cells_in_range(vertical_range: float, voxel_size: float) -> int:
@@ -124,6 +162,9 @@ class VoxelTable:
         """Add one frame's points with their packed keys.
 
         Returns the voxel ids of the distinct keys, in ascending key order.
+        The keys are grouped by runs of equal neighbours: only one key per
+        run is sorted, and the points' voxel ids are repeated from their
+        runs, so the cost follows the number of runs, not of points.
         f must be later than any frame a key was inserted with before, as
         process_frame's increasing frames ensure; that keeps first/last/count
         exact. New voxels get class cls; the others keep theirs. Points of
@@ -131,7 +172,10 @@ class VoxelTable:
         so a table must take GROUND inserts only or none at all: mixing them
         would misalign the ids with the points.
         """
-        uniq, inv = np.unique(keys, return_inverse=True)
+        if cls == GROUND:
+            uniq = _distinct(keys)
+        else:
+            uniq, rank, length = _distinct(keys, inverse=True)
         pos, ids = self._match(uniq)
         old = ids[ids >= 0]
         self.last[old] = f
@@ -150,7 +194,7 @@ class VoxelTable:
         if len(keys):
             self._xyz.append(np.asarray(xyz, dtype=np.float32))
             if cls != GROUND:
-                self._vid.append(ids[inv].astype(np.int32))
+                self._vid.append(np.repeat(ids[rank].astype(np.int32), length))
         return ids
 
     def below(self, keys: np.ndarray, steps: int) -> np.ndarray:
@@ -207,7 +251,11 @@ class Submap:
         return int(np.count_nonzero(self.table.cls == self.cls))
 
     def __contains__(self, key):
-        vid = self.table.find(np.array([pack_key(key)]))[0]
+        try:
+            packed = pack_key(key)
+        except ContractError:   # no voxel lies outside the packable range
+            return False
+        vid = self.table.find(np.array([packed]))[0]
         return bool(vid >= 0 and self.table.cls[vid] == self.cls)
 
     def points(self) -> np.ndarray:
@@ -228,7 +276,9 @@ class MapState:
     """Ground, non-ground and dynamic submaps sharing one grid."""
 
     def __init__(self, voxel_size: float = 0.2):
-        self.voxel_size = voxel_size
+        if not (is_number(voxel_size) and 0 < voxel_size < math.inf):
+            raise ContractError(f"voxel_size must be a number > 0, got {voxel_size!r}")
+        self.voxel_size = float(voxel_size)
         self.last_frame = None
         self.ground_table = VoxelTable()
         self.object_table = VoxelTable()   # non-ground and dynamic voxels

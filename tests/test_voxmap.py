@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mapclean.errors import ContractError
+from mapclean.removal import OnlinePipeline
 from mapclean.voxmap import (DYNAMIC, GROUND, NONGROUND, MapState, VoxelTable,
                              cells_in_range, dump_csv, export_dynamic_map,
                              export_static_map, pack_key, pack_keys, unpack_key,
@@ -115,6 +120,30 @@ def test_pack_keys_rejects_cells_outside_range():
     for bad in ([0, 0, EDGE], [-EDGE - 1, 0, 0]):
         with pytest.raises(ContractError):
             pack_keys(np.array([[0, 0, 0], bad]))
+
+
+def test_pack_key_rejects_cells_outside_range():
+    for bad in ((0, 0, EDGE), (-EDGE - 1, 0, 0), (0, EDGE, 0), (2 * EDGE, 0, 0)):
+        with pytest.raises(ContractError):
+            pack_key(bad)
+    assert unpack_key(pack_key((-EDGE, EDGE - 1, -EDGE))) == (-EDGE, EDGE - 1, -EDGE)
+
+
+def test_contains_is_false_outside_range():
+    state = MapState(voxel_size=0.2)
+    insert_keys(state.object_table, [(0, 1, -EDGE)], 0)
+    assert (0, 1, -EDGE) in state.nonground
+    # (0, 0, EDGE) would pack to the same int64 as (0, 1, -EDGE)
+    assert (0, 0, EDGE) not in state.nonground
+    assert (2 * EDGE, 0, 0) not in state.nonground
+
+
+@pytest.mark.parametrize("bad", [-0.2, 0.0, math.nan, math.inf, True, "0.2", None])
+def test_map_rejects_bad_voxel_size(bad):
+    with pytest.raises(ContractError):
+        MapState(voxel_size=bad)
+    with pytest.raises(ContractError):
+        OnlinePipeline(voxel_size=bad)
 
 
 def test_cells_in_range():
@@ -303,3 +332,71 @@ def test_random_operation_stream_invariants():
         if step % 500 == 0:
             audit(state, shadow)
     audit(state, shadow)
+
+
+def _insert_reference(table, keys, xyz, f, cls):
+    """VoxelTable.insert as one np.unique over every key, for comparison."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    pos, ids = table._match(uniq)
+    old = ids[ids >= 0]
+    table.last[old] = f
+    table.count[old] += 1
+    new = ids < 0
+    n_new = int(np.count_nonzero(new))
+    if n_new:
+        ids[new] = np.arange(len(table.key), len(table.key) + n_new)
+        table.key = np.concatenate([table.key, uniq[new]])
+        table.first = np.concatenate([table.first, np.full(n_new, f, np.int32)])
+        table.last = np.concatenate([table.last, np.full(n_new, f, np.int32)])
+        table.count = np.concatenate([table.count, np.ones(n_new, np.int32)])
+        table.cls = np.concatenate([table.cls, np.full(n_new, cls, np.uint8)])
+        table._sorted = np.insert(table._sorted, pos[new], uniq[new])
+        table._ids = np.insert(table._ids, pos[new], ids[new])
+    if len(keys):
+        table._xyz.append(np.asarray(xyz, dtype=np.float32))
+        if cls != GROUND:
+            table._vid.append(ids[inv].astype(np.int32))
+    return ids
+
+
+ENDS = [(-EDGE, -EDGE, -EDGE), (EDGE - 1, EDGE - 1, EDGE - 1),
+        (-EDGE, EDGE - 1, -EDGE), (EDGE - 1, -EDGE, EDGE - 1)]
+CELLS = st.one_of(st.tuples(*[st.integers(-2, 2)] * 3), st.sampled_from(ENDS))
+# a frame is a list of (cell, run length): scan order's runs of equal keys
+FRAMES = st.lists(st.tuples(CELLS, st.integers(1, 30)), max_size=10)
+STREAMS = st.lists(st.tuples(st.booleans(), st.sampled_from([NONGROUND, DYNAMIC]),
+                             FRAMES), max_size=12)
+
+
+@given(stream=STREAMS)
+@example(stream=[(True, NONGROUND, []), (False, NONGROUND, [])])                # empty frames
+@example(stream=[(True, NONGROUND, [((1, 2, 3), 1)]),
+                 (False, NONGROUND, [((1, 2, 3), 1)])])                         # one key
+@example(stream=[(g, NONGROUND, [((0, 0, 0), 500)]) for g in (True, False)])   # all equal
+@example(stream=[(g, NONGROUND, [((0, 0, 1), 2000), ((0, 0, 0), 3000)])
+                 for g in (True, False)])                                        # long runs
+@example(stream=[(g, DYNAMIC, [(c, 2) for c in [(1, 0, 0), (0, 0, 0)] * 4])
+                 for g in (True, False)])                                        # repeats apart
+@example(stream=[(g, NONGROUND, [(c, 3) for c in ENDS + ENDS[::-1]])
+                 for g in (True, False)] * 2)                                    # range ends
+def test_insert_matches_np_unique_reference(stream):
+    """Run-collapsed grouping builds the very tables one np.unique builds."""
+    tables = {g: (VoxelTable(), VoxelTable()) for g in (True, False)}
+    n_points = 0
+    for f, (to_ground, cls, runs) in enumerate(stream):
+        keys = np.array([pack_key(c) for c, n in runs for _ in range(n)], np.int64)
+        xyz = np.arange(3 * len(keys), dtype=np.float64).reshape(-1, 3) + 3 * n_points
+        n_points += len(keys)
+        cls = GROUND if to_ground else cls
+        table, reference = tables[to_ground]
+        np.testing.assert_array_equal(table.insert(keys, xyz, f, cls),
+                                      _insert_reference(reference, keys, xyz, f, cls))
+    for table, reference in tables.values():
+        for column in ("key", "first", "last", "count", "cls", "_sorted", "_ids"):
+            got, want = getattr(table, column), getattr(reference, column)
+            assert got.dtype == want.dtype, column
+            np.testing.assert_array_equal(got, want, err_msg=column)
+        for got, want in zip(table.points(), reference.points()):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
