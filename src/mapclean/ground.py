@@ -128,8 +128,8 @@ def build_range_image(scan: PointCloud, rows: int, cols: int,
     """Spherical projection; on cell collisions the nearer point wins."""
     if rows < 2 or cols < 2:
         raise ContractError(f"range image needs rows, cols >= 2, got {rows}, {cols}")
-    return RangeImage(*_project_numpy(scan.xyz, rows, cols,
-                                      float(fov_up_deg), float(fov_down_deg)))
+    xyz = np.asarray(scan.xyz, dtype=np.float64)
+    return RangeImage(*_project_numpy(xyz, rows, cols, float(fov_up_deg), float(fov_down_deg)))
 
 
 def _walk_numpy(index_img, xyz, tan_thr):
@@ -139,7 +139,7 @@ def _walk_numpy(index_img, xyz, tan_thr):
     flat = index_img.T.ravel()
     occ = flat >= 0
     pos = np.flatnonzero(occ)
-    pts = flat[pos]
+    pts = flat[pos].astype(np.intp)   # take() is slow with non-intp indices
     per_col = occ.reshape(cols, rows).sum(axis=1)
     per_col = per_col[per_col > 0]
     first = np.cumsum(per_col) - per_col   # each column's bottom-most cell
@@ -179,7 +179,7 @@ def extract_candidates(img: RangeImage, scan: PointCloud,
     n = len(scan)
     if n == 0 or not (img.point_index >= 0).any():
         return np.zeros(n, dtype=bool)
-    cand = _walk_numpy(img.point_index, scan.xyz,
+    cand = _walk_numpy(img.point_index, np.asarray(scan.xyz, dtype=np.float64),
                        math.tan(math.radians(angle_threshold_deg)))
     # cand is a view of a column-major buffer; points outside the image
     # (row and col -1) read some cell and are masked off after
@@ -239,7 +239,7 @@ def fit_ground_model(scan: PointCloud, candidates: np.ndarray,
     model = GroundModel(normals, offsets, has_plane,
                         cfg.sectors_x, cfg.sectors_y, cfg.footprint)
 
-    xyz = scan.xyz
+    xyz = np.asarray(scan.xyz, dtype=np.float64)
     cand_idx = np.flatnonzero(candidates)
     if len(cand_idx) == 0:
         return ground, model

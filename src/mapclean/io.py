@@ -9,8 +9,12 @@ Formats:
     hold the semantic class, the high 16 bits the instance id.
   * map output: PCD v0.7 (ascii or binary) and binary little-endian PLY.
 
-All math runs in float64; on-disk coordinates are float32, matching the
-datasets this tooling targets.
+Clouds hold float64 points, except maps: a map leaves the voxel store and
+reaches its file as float32, the precision it was stored and is written
+at, with no float64 copy on the way. On-disk coordinates are float32,
+matching the datasets this tooling targets. All math runs in float64:
+every function that computes on points reads them as float64, which is
+free for a float64 cloud.
 """
 
 from __future__ import annotations
@@ -31,14 +35,16 @@ ROTATION_TOL = 1e-6
 class PointCloud:
     """Ordered 3-D points with optional intensity and per-point labels."""
 
-    xyz: np.ndarray                 # (N, 3) float64
+    xyz: np.ndarray                 # (N, 3) float64, or float32 as given (maps)
     intensity: np.ndarray = None    # (N,) float32, optional
     semantic: np.ndarray = None     # (N,) uint16, optional
     instance: np.ndarray = None     # (N,) uint16, optional
     dropped_nonfinite: int = 0      # points discarded at parse time
 
     def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
+        if not (isinstance(self.xyz, np.ndarray) and self.xyz.dtype == np.float32):
+            self.xyz = np.asarray(self.xyz, dtype=np.float64)
+        self.xyz = self.xyz.reshape(-1, 3)
         n = len(self.xyz)
         for name in ("intensity", "semantic", "instance"):
             arr = getattr(self, name)
@@ -72,6 +78,8 @@ class Pose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ContractError("pose holds a non-finite value")
         err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
         if err > ROTATION_TOL or np.linalg.det(self.rotation) < 0:
             raise ContractError(f"rotation not orthonormal (drift {err:.3e})")
@@ -122,27 +130,48 @@ def read_poses(path) -> list:
     """Read an odometry pose file, one 3x4 row-major matrix per line.
 
     Rotations whose orthonormality drift exceeds 1e-6 are re-projected
-    onto SO(3) before the pose is built.
+    onto SO(3) before the pose is built. A line that holds no valid pose
+    raises ParseError naming it.
     """
     poses = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != 12:
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(tokens)} tokens, expected 12")
-            try:
-                vals = np.array([float(t) for t in tokens], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            mat = vals.reshape(3, 4)
-            r, t = mat[:, :3], mat[:, 3]
-            if np.abs(r @ r.T - np.eye(3)).max() > ROTATION_TOL:
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        if len(tokens) != 12:
+            raise ParseError(
+                f"{path}: line {lineno} has {len(tokens)} tokens, expected 12")
+        mat = _parse_floats(tokens, f"{path}: line {lineno}").reshape(3, 4)
+        r, t = mat[:, :3], mat[:, 3]
+        try:
+            with np.errstate(over="ignore"):   # an infinite drift is reprojected too
+                drift = np.abs(r @ r.T - np.eye(3)).max()
+            if drift > ROTATION_TOL:
                 r = orthonormalize(r)
             poses.append(Pose(r, t))
+        except (ContractError, np.linalg.LinAlgError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return poses
+
+
+def _text_lines(path) -> list:
+    """The lines of a text file; ParseError if it does not decode."""
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parse_floats(tokens, where: str) -> np.ndarray:
+    """float64 values of text tokens; ParseError unless each is a finite number."""
+    try:
+        vals = np.array([float(t) for t in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    if not np.isfinite(vals).all():
+        raise ParseError(f"{where}: non-finite value")
+    return vals
 
 
 def write_poses(path, poses) -> None:
@@ -186,14 +215,14 @@ def attach_labels(cloud: PointCloud, semantic, instance) -> PointCloud:
 def transform_to_world(cloud: PointCloud, pose: Pose) -> PointCloud:
     """Map every point p to R p + t; intensity/labels are preserved."""
     out = cloud.select(slice(None))
-    out.xyz = cloud.xyz @ pose.rotation.T + pose.translation
+    out.xyz = np.asarray(cloud.xyz, dtype=np.float64) @ pose.rotation.T + pose.translation
     out.dropped_nonfinite = cloud.dropped_nonfinite
     return out
 
 
 def range_mask(xyz: np.ndarray, min_range: float, max_range: float) -> np.ndarray:
     """Boolean mask of points whose sensor-frame range lies in [min, max]."""
-    r = np.linalg.norm(xyz, axis=1)
+    r = np.linalg.norm(np.asarray(xyz, dtype=np.float64), axis=1)
     return (r >= min_range) & (r <= max_range)
 
 
@@ -223,16 +252,16 @@ def _pcd_header(n, with_intensity, data):
 
 
 def write_map(path, cloud: PointCloud, format: str = "ascii-pcd") -> None:
-    """Write a cloud to disk; read_map() on the result restores coordinates
-    at float32 precision."""
+    """Write a cloud to disk as float32; read_map() on the result returns
+    those float32 coordinates. A float32 cloud is written without a copy."""
     if format not in MAP_FORMATS:
         raise ContractError(f"unknown map format {format!r}, expected one of {MAP_FORMATS}")
     path = Path(path)
     n = len(cloud)
     with_int = cloud.intensity is not None
-    cols = cloud.xyz.astype(np.float32)
+    cols = np.asarray(cloud.xyz, dtype="<f4")
     if with_int:
-        cols = np.column_stack([cols, np.asarray(cloud.intensity, dtype=np.float32)])
+        cols = np.column_stack([cols, np.asarray(cloud.intensity, dtype="<f4")])
     try:
         if format == "ascii-pcd":
             line = " ".join(["%.9g"] * cols.shape[1]) + "\n"
@@ -244,7 +273,7 @@ def write_map(path, cloud: PointCloud, format: str = "ascii-pcd") -> None:
         elif format == "binary-pcd":
             with open(path, "wb") as fh:
                 fh.write(_pcd_header(n, with_int, "binary").encode("ascii"))
-                fh.write(cols.astype("<f4").tobytes())
+                fh.write(cols.tobytes())
         else:
             props = ["x", "y", "z"] + (["intensity"] if with_int else [])
             header = "\n".join(
@@ -253,13 +282,14 @@ def write_map(path, cloud: PointCloud, format: str = "ascii-pcd") -> None:
                 + ["end_header"]) + "\n"
             with open(path, "wb") as fh:
                 fh.write(header.encode("ascii"))
-                fh.write(cols.astype("<f4").tobytes())
+                fh.write(cols.tobytes())
     except OSError as exc:
         raise OSError(f"failed writing map to {path}: {exc}") from exc
 
 
 def read_map(path) -> PointCloud:
-    """Read back a map written by write_map (PCD ascii/binary or binary PLY)."""
+    """Read back a map written by write_map (PCD ascii/binary or binary PLY)
+    as a cloud of the file's float32 coordinates."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(3)
@@ -331,7 +361,7 @@ def _read_pcd(path) -> PointCloud:
         else:
             raise ParseError(f"{path}: unsupported PCD DATA {header['DATA']!r}")
     intensity = arr[:, 3].copy() if "intensity" in fields else None
-    return PointCloud(arr[:, :3].astype(np.float64), intensity=intensity)
+    return PointCloud(arr[:, :3].astype(np.float32), intensity=intensity)
 
 
 def _read_ply(path) -> PointCloud:
@@ -346,22 +376,24 @@ def _read_ply(path) -> PointCloud:
         _check_xyz(props, path)
         arr = _read_binary(fh, path, n, len(props))
     intensity = arr[:, props.index("intensity")].copy() if "intensity" in props else None
-    return PointCloud(arr[:, :3].astype(np.float64), intensity=intensity)
+    return PointCloud(arr[:, :3].astype(np.float32), intensity=intensity)
 
 
 # --------------------------------------------------------------------------
 # odometry calibration
 
 def read_calibration(path) -> dict:
-    """Parse a KITTI-style calib.txt into name -> 3x4 row-major matrices."""
+    """Parse a KITTI-style calib.txt into name -> 3x4 row-major matrices.
+
+    Lines of other lengths are skipped; a 12-value line that holds a
+    non-number or a non-finite value raises ParseError.
+    """
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            name, _, rest = line.partition(":")
-            vals = rest.split()
-            if len(vals) == 12:
-                out[name.strip()] = np.array(
-                    [float(v) for v in vals], dtype=np.float64).reshape(3, 4)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        name, _, rest = line.partition(":")
+        vals = rest.split()
+        if len(vals) == 12:
+            out[name.strip()] = _parse_floats(vals, f"{path}: line {lineno}").reshape(3, 4)
     return out
 
 

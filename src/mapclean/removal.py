@@ -138,7 +138,8 @@ def process_frame(scan: PointCloud, pose: Pose, f: int, state: MapState,
             raise ContractError(f"ground_mask must be bool, not {ground_mask.dtype}")
         if ground_mask.shape != (len(scan),):
             raise ContractError("ground_mask length does not match scan")
-    if not np.isfinite(scan.xyz).all():
+    xyz = np.asarray(scan.xyz, dtype=np.float64)
+    if not np.isfinite(xyz).all():
         raise ContractError("scan holds a non-finite point")
     steps = cells_in_range(removal_cfg.vertical_range, state.voxel_size)
 
@@ -147,7 +148,7 @@ def process_frame(scan: PointCloud, pose: Pose, f: int, state: MapState,
         ground_mask = segment_ground_mask(scan, ground_cfg or GroundSegConfig())
     t1 = time.perf_counter()
 
-    world_xyz = scan.xyz @ pose.rotation.T
+    world_xyz = xyz @ pose.rotation.T
     world_xyz += pose.translation
     keys = pack_keys(voxel_keys(world_xyz, state.voxel_size))
     world_xyz = world_xyz.astype(np.float32)   # what the map stores

@@ -29,9 +29,10 @@ scan); only the run keys are sorted and deduplicated, and each point's
 voxel id is spread back from its run with `np.repeat`.
 
 Points go into an append-only float32 buffer per table. The object table
-keeps the voxel id of each point beside it, so exporting a submap is one
-boolean mask; ground voxels never change class, so the ground table keeps
-no ids and exports all its points.
+keeps the voxel id of each point beside it, so exporting a submap gathers
+the rows whose voxel has its class; ground voxels never change class, so
+the ground table keeps no ids and exports all its points. Exports stay
+float32, the precision the points were stored at.
 
 All mutation happens on the caller's thread (single-writer contract).
 """
@@ -259,11 +260,15 @@ class Submap:
         return bool(vid >= 0 and self.table.cls[vid] == self.cls)
 
     def points(self) -> np.ndarray:
-        """(P, 3) float32 points of this submap's voxels."""
+        """(P, 3) float32 points of this submap's voxels, in insertion order.
+
+        For a table without ids, which holds ground points only, this is the
+        table's own buffer, not a copy.
+        """
         xyz, vid = self.table.points()
-        if not len(vid):   # a table without ids holds ground points only
+        if not len(vid):
             return xyz
-        return xyz[self.table.cls[vid] == self.cls]
+        return xyz.take(np.flatnonzero(self.table.cls[vid] == self.cls), axis=0)
 
     def total_points(self) -> int:
         xyz, vid = self.table.points()
@@ -288,18 +293,23 @@ class MapState:
 
 
 def export_static_map(state: MapState) -> PointCloud:
-    """All points in the ground and non-ground submaps; dynamic excluded."""
+    """A float32 cloud of all points in the ground and non-ground submaps.
+
+    Ground points come first, then non-ground points, each in insertion
+    order; dynamic points are left out.
+    """
     ground_xyz = state.ground.points()
     obj_xyz, vid = state.object_table.points()
-    keep = state.object_table.cls[vid] == NONGROUND
+    keep = np.flatnonzero(state.object_table.cls[vid] == NONGROUND)
     n = len(ground_xyz)
-    out = np.empty((n + int(np.count_nonzero(keep)), 3))
+    out = np.empty((n + len(keep), 3), np.float32)
     out[:n] = ground_xyz
-    out[n:] = obj_xyz[keep]
+    obj_xyz.take(keep, axis=0, out=out[n:])
     return PointCloud(out)
 
 
 def export_dynamic_map(state: MapState) -> PointCloud:
+    """A float32 cloud of the dynamic submap's points, in insertion order."""
     return PointCloud(state.dynamic.points())
 
 

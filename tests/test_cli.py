@@ -5,7 +5,7 @@ import yaml
 from mapclean.cli import main
 from mapclean.config import PipelineConfig, config_from_dict, load_config, save_config
 from mapclean.errors import ContractError
-from mapclean.io import read_map
+from mapclean.io import PointCloud, read_map, write_map
 
 APPEAR_CFG = {
     "ground": {"rows": 64, "cols": 192, "fov_up_deg": -6.0, "fov_down_deg": -45.0},
@@ -79,6 +79,27 @@ def test_run_missing_pose_file_exit_2_no_partial_output(tmp_path, appear_seq):
     rc = main(["run", str(appear_seq / "velodyne"),
                str(appear_seq / "missing.txt"), "--output", str(out)])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "bench"])
+@pytest.mark.parametrize("token,at", [("nan", 0), ("inf", 7)])
+def test_non_finite_pose_exit_2(tmp_path, appear_seq, capsys, command, token, at):
+    # a late row: every reader of the pose file must fail before any frame runs
+    lines = (appear_seq / "poses.txt").read_text().splitlines()
+    row = lines[40].split()
+    row[at] = token
+    lines[40] = " ".join(row)
+    poses = tmp_path / "poses.txt"
+    poses.write_text("\n".join(lines) + "\n")
+    out, clean = tmp_path / "out", tmp_path / "clean.pcd"
+    write_map(clean, PointCloud(np.zeros((1, 3))))
+    extra = {"run": ["--output", str(out)],
+             "eval": [str(appear_seq / "labels"), str(clean)], "bench": []}[command]
+    rc = main([command, str(appear_seq / "velodyne"), str(poses)] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 41: non-finite" in err and "Traceback" not in err
     assert not out.exists()
 
 

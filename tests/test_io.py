@@ -4,12 +4,14 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mapclean import io as mio
 from mapclean.errors import ContractError, ParseError
 from mapclean.io import (PointCloud, Pose, attach_labels, orthonormalize,
-                         range_mask, read_labels, read_map, read_poses,
-                         read_scan, transform_to_world, write_labels,
+                         range_mask, read_calibration, read_labels, read_map,
+                         read_poses, read_scan, transform_to_world, write_labels,
                          write_map, write_poses)
 
 
@@ -106,6 +108,53 @@ def test_read_poses_reorthonormalizes(tmp_path):
 def test_pose_rejects_non_orthonormal():
     with pytest.raises(ContractError):
         Pose(np.eye(3) * 2.0, np.zeros(3))
+
+
+def test_pose_rejects_non_finite():
+    nan_rotation = np.eye(3)
+    nan_rotation[1, 2] = np.nan
+    for rotation, translation in ((np.eye(3), [np.inf, 0, 0]), (np.eye(3), [0, np.nan, 0]),
+                                  (nan_rotation, np.zeros(3))):
+        with pytest.raises(ContractError, match="non-finite"):
+            Pose(rotation, translation)
+
+
+@pytest.mark.parametrize("token,at", [("nan", 0), ("inf", 3), ("-inf", 11), ("NaN", 5)])
+def test_read_poses_non_finite_names_line(tmp_path, token, at):
+    row = "1 0 0 0 0 1 0 0 0 0 1 0".split()
+    row[at] = token
+    p = tmp_path / "poses.txt"
+    p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" * 3 + " ".join(row) + "\n")
+    with pytest.raises(ParseError, match="line 4: non-finite"):
+        read_poses(p)
+
+
+def test_read_poses_reflection_is_parse_error(tmp_path):
+    p = tmp_path / "poses.txt"
+    p.write_text("-1 0 0 0 0 1 0 0 0 0 1 0\n")
+    with pytest.raises(ParseError, match="line 1"):
+        read_poses(p)
+
+
+# -- calibration -------------------------------------------------------------
+
+CALIB_TR = "Tr: 1 0 0 0.5 0 1 0 0 0 0 1 0\n"
+
+
+def test_read_calibration(tmp_path):
+    p = tmp_path / "calib.txt"
+    p.write_text("P0: 1 2 3\n" + CALIB_TR)
+    calib = read_calibration(p)
+    assert list(calib) == ["Tr"]
+    np.testing.assert_array_equal(calib["Tr"][:, 3], [0.5, 0, 0])
+
+
+@pytest.mark.parametrize("bad", ["x", "nan", "inf"])
+def test_read_calibration_bad_value_is_parse_error(tmp_path, bad):
+    p = tmp_path / "calib.txt"
+    p.write_text(CALIB_TR + CALIB_TR.replace("0.5", bad))
+    with pytest.raises(ParseError, match="line 2"):
+        read_calibration(p)
 
 
 # -- labels ------------------------------------------------------------------
@@ -219,6 +268,31 @@ def test_write_map_roundtrip_10k(tmp_path, fmt):
     np.testing.assert_allclose(back.intensity, cloud.intensity, atol=1e-6)
 
 
+@pytest.mark.parametrize("fmt", ["ascii-pcd", "binary-pcd", "ply"])
+@pytest.mark.parametrize("with_intensity", [False, True])
+def test_write_map_float32_cloud_same_bytes_as_float64(tmp_path, fmt, with_intensity):
+    rng = np.random.default_rng(11)
+    xyz = (rng.standard_normal((257, 3)) * 50.0).astype(np.float32)
+    intensity = rng.uniform(0, 1, 257).astype(np.float32) if with_intensity else None
+    narrow = PointCloud(xyz, intensity=intensity)
+    wide = PointCloud(xyz.astype(np.float64), intensity=intensity)
+    assert narrow.xyz.dtype == np.float32 and wide.xyz.dtype == np.float64
+    write_map(tmp_path / "narrow", narrow, fmt)
+    write_map(tmp_path / "wide", wide, fmt)
+    assert (tmp_path / "narrow").read_bytes() == (tmp_path / "wide").read_bytes()
+    back = read_map(tmp_path / "narrow")
+    assert back.xyz.dtype == np.float32
+    np.testing.assert_array_equal(back.xyz, xyz)
+
+
+def test_point_cloud_keeps_float32_widens_the_rest():
+    xyz = np.ones((2, 3), np.float32)
+    kept = PointCloud(xyz).xyz
+    assert kept.dtype == np.float32 and np.shares_memory(kept, xyz)
+    for other in (xyz.astype(np.float16), xyz.astype(np.int32), xyz.tolist()):
+        assert PointCloud(other).xyz.dtype == np.float64
+
+
 def test_write_map_unknown_format(tmp_path):
     with pytest.raises(ContractError):
         write_map(tmp_path / "x", PointCloud(np.zeros((1, 3))), "xyz")
@@ -289,3 +363,37 @@ def test_read_map_malformed_raises_parse_error(tmp_path, case):
     path.write_bytes(MALFORMED_MAPS[case])
     with ends_within(5), pytest.raises(ParseError, match="map.out"):
         read_map(path)
+
+
+# -- readers on arbitrary bytes ----------------------------------------------
+
+READERS = {"poses": read_poses, "calibration": read_calibration,
+           "scan": read_scan, "labels": read_labels}
+TOKENS = st.sampled_from(["0", "1", "-1", "0.5", "1e308", "-1e-320", "nan", "-inf",
+                          "Infinity", "1_0", "x", "1e", "\u0661", ":", "\t", "\x00"])
+# twelve-value lines reach the pose and matrix checks, the rest stop earlier
+LINES = st.one_of(st.lists(TOKENS, min_size=12, max_size=12), st.lists(TOKENS, max_size=14))
+TEXT = st.lists(st.tuples(st.sampled_from(["", "Tr: ", "P0:"]), LINES), max_size=4).map(
+    lambda rows: "\n".join(name + " ".join(tokens) for name, tokens in rows).encode())
+BODIES = st.one_of(st.binary(max_size=96), TEXT)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@given(body=BODIES)
+@example(body=b"\xff\xfe\n")                                        # not utf-8
+@example(body=b"-1 0 0 0 0 1 0 0 0 0 1 0\n")                         # a reflection
+@example(body=b"1e308 1e308 1e308 0 1e308 1e308 1e308 0 1 1 1 0")     # overflowing drift
+@example(body=b"Tr: " + b"0 " * 12)                                    # zero rotation
+def test_readers_end_on_any_bytes(tmp_path_factory, reader, body):
+    """Each reader returns or raises ParseError; poses and matrices it returns are finite."""
+    path = tmp_path_factory.getbasetemp() / f"reader-{reader}.in"
+    path.write_bytes(body)
+    with ends_within(5):
+        try:
+            out = READERS[reader](path)
+        except ParseError:
+            return
+    if reader == "poses":
+        assert all(np.isfinite(p.matrix()).all() for p in out)
+    elif reader == "calibration":
+        assert all(np.isfinite(m).all() for m in out.values())

@@ -3,11 +3,13 @@ import copy
 import numpy as np
 import pytest
 
+from conftest import rendered
 from mapclean.errors import ContractError, MapCleanError
-from mapclean.io import PointCloud
+from mapclean.ground import build_range_image, extract_candidates, fit_ground_model
+from mapclean.io import PointCloud, range_mask, transform_to_world
 from mapclean.removal import (OnlinePipeline, RemovalConfig, _downward,
                               _restore, _upward, process_frame)
-from mapclean.simulate import (DynamicObject, Scenario, SensorModel,
+from mapclean.simulate import (DynamicObject, Scenario, SensorModel, ground_cfg_for,
                                ground_mask_from_labels, render_sequence)
 from mapclean.voxmap import (DYNAMIC, GROUND, NONGROUND, MapState,
                              cells_in_range, pack_key, unpack_key, unpack_keys,
@@ -461,3 +463,43 @@ def test_cell_outside_grid_rejected_and_state_unchanged():
         pipe.process(PointCloud(xyz), fr.pose, 2,
                      ground_mask=ground_mask_from_labels(fr.labels))
     assert_unchanged(before, pipe.state)
+
+
+def test_float32_cloud_computes_as_its_float64_widening():
+    """Math reads points as float64, so a float32 cloud gives the same range
+    image, candidates, GroundModel, world points, tables and reports as the
+    same points widened to float64."""
+    sc, frames = rendered("suddenly-appear")
+    cfg = ground_cfg_for(sc)
+    narrow_pipe = OnlinePipeline(VOX, ground_cfg=cfg)
+    wide_pipe = OnlinePipeline(VOX, ground_cfg=cfg)
+    for f, fr in enumerate(frames):
+        xyz = fr.scan.xyz.astype(np.float32)
+        narrow, wide = PointCloud(xyz), PointCloud(xyz.astype(np.float64))
+        assert narrow.xyz.dtype == np.float32
+        imgs = [build_range_image(c, cfg.rows, cfg.cols, cfg.fov_up_deg, cfg.fov_down_deg)
+                for c in (narrow, wide)]
+        for name in ("point_index", "point_rows", "point_cols"):
+            np.testing.assert_array_equal(getattr(imgs[0], name), getattr(imgs[1], name))
+        cand = extract_candidates(imgs[0], narrow, cfg.angle_threshold_deg)
+        np.testing.assert_array_equal(
+            cand, extract_candidates(imgs[1], wide, cfg.angle_threshold_deg))
+        (mask, model), (wide_mask, wide_model) = (fit_ground_model(c, cand, cfg)
+                                                  for c in (narrow, wide))
+        np.testing.assert_array_equal(mask, wide_mask)
+        for name in ("normals", "offsets", "has_plane"):
+            got, want = getattr(model, name), getattr(wide_model, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert model.normals.dtype == np.float64
+        world = transform_to_world(narrow, fr.pose).xyz
+        assert world.dtype == np.float64
+        np.testing.assert_array_equal(world, transform_to_world(wide, fr.pose).xyz)
+        np.testing.assert_array_equal(range_mask(narrow.xyz, 1.0, 30.0),
+                                      range_mask(wide.xyz, 1.0, 30.0))
+        got, want = narrow_pipe.process(narrow, fr.pose, f), wide_pipe.process(wide, fr.pose, f)
+        for name in ("frame", "appeared_dynamic", "disappeared_dynamic", "restored",
+                     "appeared_keys", "disappeared_keys", "restored_keys"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert_unchanged(snapshot(wide_pipe.state), narrow_pipe.state)
+    assert narrow_pipe.classification() == wide_pipe.classification()

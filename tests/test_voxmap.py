@@ -400,3 +400,46 @@ def test_insert_matches_np_unique_reference(stream):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+
+def _export_reference(state):
+    """The float64 exports, by boolean masks: (static, dynamic) points."""
+    ground_xyz = state.ground.points()
+    obj_xyz, vid = state.object_table.points()
+    cls = state.object_table.cls[vid]
+    keep = cls == NONGROUND
+    n = len(ground_xyz)
+    static = np.empty((n + int(np.count_nonzero(keep)), 3))
+    static[:n] = ground_xyz
+    static[n:] = obj_xyz[keep]
+    return static, np.asarray(obj_xyz[cls == DYNAMIC], dtype=np.float64)
+
+
+# a frame: ground cells, object cells, and which object voxels then turn dynamic
+EXPORT_FRAMES = st.lists(st.tuples(st.lists(CELLS, max_size=12), st.lists(CELLS, max_size=12),
+                                   st.lists(st.booleans(), max_size=12)), max_size=5)
+
+
+@given(frames=EXPORT_FRAMES)
+@example(frames=[])                                                        # empty state
+@example(frames=[([], [(0, 0, 0), (1, 0, 0), (0, 0, 0)], [True] * 2)])    # all dynamic
+@example(frames=[([(0, 0, 0)] * 3, [], [])])                               # ground only
+def test_exports_are_reference_rows_narrowed_to_float32(frames):
+    """Both exports hold float32 rows equal, in order, to the float64 reference."""
+    state = MapState(voxel_size=0.2)
+    n_points = 0
+    for f, (ground_cells, object_cells, to_dynamic) in enumerate(frames):
+        for table, cells, cls in ((state.ground_table, ground_cells, GROUND),
+                                  (state.object_table, object_cells, NONGROUND)):
+            keys = np.array([pack_key(c) for c in cells], np.int64)
+            # coordinates that float32 cannot hold exactly
+            xyz = (np.arange(3 * len(keys)).reshape(-1, 3) + 3 * n_points) / 3.0
+            n_points += len(keys)
+            ids = table.insert(keys, xyz, f, cls)
+        flip = ids[:len(to_dynamic)][np.array(to_dynamic[:len(ids)], bool)]
+        state.object_table.cls[flip] = DYNAMIC
+    want_static, want_dynamic = _export_reference(state)
+    for got, want in ((export_static_map(state).xyz, want_static),
+                      (export_dynamic_map(state).xyz, want_dynamic)):
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+    assert len(want_dynamic) == state.dynamic.total_points()
