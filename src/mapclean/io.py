@@ -8,6 +8,9 @@ Formats:
   * ``.label`` files: one little-endian uint32 per point; the low 16 bits
     hold the semantic class, the high 16 bits the instance id.
   * map output: PCD v0.7 (ascii or binary) and binary little-endian PLY.
+    The ascii body holds "%.9g" of each float32 value, which reads back as
+    the identical float32; numpy formats it to the bytes Python would
+    (module _g9).
 
 Clouds hold float64 points, except maps: a map leaves the voxel store and
 reaches its file as float32, the precision it was stored and is written
@@ -29,6 +32,7 @@ from .errors import ContractError, ParseError
 SCAN_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
 ROTATION_TOL = 1e-6
+MAX_POSE_DRIFT = 1e-3   # larger drift in a pose file is corruption, not rounding
 
 
 @dataclass
@@ -129,8 +133,9 @@ def read_scan(path) -> PointCloud:
 def read_poses(path) -> list:
     """Read an odometry pose file, one 3x4 row-major matrix per line.
 
-    Rotations whose orthonormality drift exceeds 1e-6 are re-projected
-    onto SO(3) before the pose is built. A line that holds no valid pose
+    Rotations whose orthonormality drift max|R R^T - I| exceeds 1e-6 but
+    not MAX_POSE_DRIFT are re-projected onto SO(3) before the pose is
+    built. A line that holds no valid pose, or a rotation drifted further,
     raises ParseError naming it.
     """
     poses = []
@@ -143,9 +148,12 @@ def read_poses(path) -> list:
                 f"{path}: line {lineno} has {len(tokens)} tokens, expected 12")
         mat = _parse_floats(tokens, f"{path}: line {lineno}").reshape(3, 4)
         r, t = mat[:, :3], mat[:, 3]
+        with np.errstate(over="ignore", invalid="ignore"):   # an infinite drift is rejected
+            drift = np.abs(r @ r.T - np.eye(3)).max()
+        if not drift <= MAX_POSE_DRIFT:
+            raise ParseError(f"{path}: line {lineno}: rotation drift {drift:.3e} "
+                             f"exceeds {MAX_POSE_DRIFT:g}, not a rotation")
         try:
-            with np.errstate(over="ignore"):   # an infinite drift is reprojected too
-                drift = np.abs(r @ r.T - np.eye(3)).max()
             if drift > ROTATION_TOL:
                 r = orthonormalize(r)
             poses.append(Pose(r, t))
@@ -230,7 +238,11 @@ def range_mask(xyz: np.ndarray, min_range: float, max_range: float) -> np.ndarra
 # map output: PCD v0.7 and binary PLY
 
 MAP_FORMATS = ("ascii-pcd", "binary-pcd", "ply")
-ASCII_CHUNK_ROWS = 65536   # rows formatted by one % operation
+# Rows formatted per numpy pass. At 1024 rows a chunk's buffers (~100 kB)
+# are reused by the allocator instead of being page-faulted in afresh:
+# on a 610k-point map 1024 rows ran fastest, 4096 rows took ~1.3x and
+# 16384 rows ~1.6x as long.
+ASCII_CHUNK_ROWS = 1024
 
 
 def _pcd_header(n, with_intensity, data):
@@ -264,12 +276,11 @@ def write_map(path, cloud: PointCloud, format: str = "ascii-pcd") -> None:
         cols = np.column_stack([cols, np.asarray(cloud.intensity, dtype="<f4")])
     try:
         if format == "ascii-pcd":
-            line = " ".join(["%.9g"] * cols.shape[1]) + "\n"
-            with open(path, "w") as fh:
-                fh.write(_pcd_header(n, with_int, "ascii"))
+            from ._g9 import format_g9   # here, so that importing mapclean skips it
+            with open(path, "wb") as fh:
+                fh.write(_pcd_header(n, with_int, "ascii").encode("ascii"))
                 for lo in range(0, n, ASCII_CHUNK_ROWS):
-                    chunk = cols[lo:lo + ASCII_CHUNK_ROWS]
-                    fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+                    fh.write(format_g9(cols[lo:lo + ASCII_CHUNK_ROWS]))
         elif format == "binary-pcd":
             with open(path, "wb") as fh:
                 fh.write(_pcd_header(n, with_int, "binary").encode("ascii"))

@@ -103,6 +103,21 @@ def test_non_finite_pose_exit_2(tmp_path, appear_seq, capsys, command, token, at
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["0 0 0 0 0 0 0 0 0 0 0 0", "5 0 0 0 0 5 0 0 0 0 5 0"])
+def test_run_pose_far_from_rotation_exit_2(tmp_path, appear_seq, capsys, row):
+    # such a row used to be re-projected to the identity and mapped
+    lines = (appear_seq / "poses.txt").read_text().splitlines()
+    lines[40] = row
+    poses = tmp_path / "poses.txt"
+    poses.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = main(["run", str(appear_seq / "velodyne"), str(poses), "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 41: rotation drift" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_count_mismatch_exit_3(tmp_path, appear_seq):
     short = tmp_path / "short.txt"
     lines = (appear_seq / "poses.txt").read_text().splitlines()
@@ -132,6 +147,21 @@ def test_run_dynamic_map_output(tmp_path, appear_seq):
     assert rc == 0
     dyn = read_map(out / "dynamic_map.pcd")
     assert len(dyn) > 0
+
+
+def test_run_ascii_maps_are_g9_of_binary_maps(tmp_path, appear_seq):
+    cfg = write_cfg(tmp_path, APPEAR_CFG)
+    for fmt in ("ascii-pcd", "binary-pcd"):
+        rc = main(["run", str(appear_seq / "velodyne"), str(appear_seq / "poses.txt"),
+                   "--config", str(cfg), "--output", str(tmp_path / fmt),
+                   "--format", fmt, "--dynamic-out"])
+        assert rc == 0
+    for name in ("static_map.pcd", "dynamic_map.pcd"):
+        points = read_map(tmp_path / "binary-pcd" / name).xyz
+        assert points.dtype == np.float32 and len(points) > 0
+        body = "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in points)
+        _, _, ascii_body = (tmp_path / "ascii-pcd" / name).read_bytes().partition(b"DATA ascii\n")
+        assert ascii_body == body.encode("ascii")
 
 
 def test_run_dump_voxels(tmp_path, appear_seq):

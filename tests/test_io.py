@@ -105,6 +105,16 @@ def test_read_poses_reorthonormalizes(tmp_path):
     assert err <= 1e-6
 
 
+@pytest.mark.parametrize("row", ["0 0 0 0 0 0 0 0 0 0 0 0",       # no rotation at all
+                                 "5 0 0 0 0 5 0 0 0 0 5 0",       # a scaled identity
+                                 "1 0.002 0 0 0 1 0 0 0 0 1 0"])  # drift 2e-3, past the bound
+def test_read_poses_far_from_rotation_names_line(tmp_path, row):
+    p = tmp_path / "poses.txt"
+    p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" + row + "\n")
+    with pytest.raises(ParseError, match="line 2: rotation drift"):
+        read_poses(p)
+
+
 def test_pose_rejects_non_orthonormal():
     with pytest.raises(ContractError):
         Pose(np.eye(3) * 2.0, np.zeros(3))
@@ -313,6 +323,45 @@ def test_write_map_ascii_matches_per_row_formatting(tmp_path, monkeypatch, k):
     cloud = PointCloud(vals[:, :3], intensity=vals[:, 3] if k == 4 else None)
     path = tmp_path / "map.pcd"
     write_map(path, cloud, "ascii-pcd")
+    header = mio._pcd_header(len(vals), k == 4, "ascii")
+    body = "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in vals)
+    assert path.read_bytes() == (header + body).encode("ascii")
+
+
+def float32_bits(values):
+    return np.asarray(values, dtype=np.float32).view(np.uint32).tolist()
+
+
+DECADES = np.float32(10.0) ** np.arange(-5, 10, dtype=np.float32)
+BITS = st.one_of(st.integers(0, 2**32 - 1),
+                 st.floats(width=32).map(lambda v: float32_bits([v])[0]))
+
+
+@given(k=st.sampled_from([3, 4]), chunk_rows=st.sampled_from([1, 3, 5, 7]),
+       bits=st.lists(BITS, max_size=64))
+# ties at the ninth digit: fixed notation, fixed below 1e-3, scientific (2**-14),
+# and 3.929086285e+32, just above a tie, where the float64 product rounds below it
+@example(k=3, chunk_rows=1, bits=float32_bits([100.0078125, 1000000.125, 2.0**-13, 2.0**-14,
+                                               -2.0**-14, 0.5]) + [0x759AF9A2] * 3)
+# the neighbours of 1e-5 ... 1e9, where log10, the notation and the rounding turn over
+@example(k=3, chunk_rows=5, bits=float32_bits(np.concatenate(
+    [np.nextafter(DECADES, np.float32(0)), DECADES, np.nextafter(DECADES, np.float32(np.inf))])))
+# 9.99999e-05 stays scientific next to 0.0001; float32 999999940 keeps nine digits,
+# while float32 1e-23 lies just below 1e-23 and rounds up to it
+@example(k=4, chunk_rows=3, bits=float32_bits([999999940, 9.99999e-05, 9.9999999e-05, 1e-4,
+                                               1e-23, -1e-23, 3.4028235e38, 1e-45]))
+# signed zeros, subnormals, the largest float32, NaNs of both signs and infinities
+@example(k=4, chunk_rows=7, bits=[0, 0x80000000, 1, 0x80000001, 0x007FFFFF, 0x80400000,
+                                  0x7F7FFFFF, 0xFF7FFFFF, 0x7FC00000, 0xFFC00000, 0x7F800001,
+                                  0xFF800001, 0x7F800000, 0xFF800000, 2, 0x00400000])
+def test_write_map_ascii_is_g9_of_every_float32(tmp_path_factory, k, chunk_rows, bits):
+    """Any float32 bit pattern, any chunking: the body is "%.9g" of each value."""
+    vals = np.array(bits[:len(bits) // k * k], dtype=np.uint32).view(np.float32).reshape(-1, k)
+    cloud = PointCloud(vals[:, :3], intensity=vals[:, 3] if k == 4 else None)
+    path = tmp_path_factory.getbasetemp() / "g9.pcd"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mio, "ASCII_CHUNK_ROWS", chunk_rows)
+        write_map(path, cloud, "ascii-pcd")
     header = mio._pcd_header(len(vals), k == 4, "ascii")
     body = "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in vals)
     assert path.read_bytes() == (header + body).encode("ascii")
